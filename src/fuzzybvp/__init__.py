@@ -23,6 +23,7 @@ from .ode import (
     NonUniqueCrispSolution,
     TimeGrid,
     Trajectory,
+    UnitPropertyError,
     WeightBasis,
     boundary_matrix,
     homogeneous_basis,
@@ -53,6 +54,7 @@ __all__ = [
     "NonUniqueCrispSolution",
     "TimeGrid",
     "Trajectory",
+    "UnitPropertyError",
     "WeightBasis",
     "boundary_matrix",
     "homogeneous_basis",

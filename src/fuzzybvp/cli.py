@@ -6,8 +6,9 @@ Subcommands:
 * ``verify``  -- cross-check the band against the finite-difference oracle
 * ``example`` -- print one of the two built-in problems as JSON
 
-Exit codes: 0 success, 1 validation or usage error, 2 crisp problem not
-uniquely solvable, 3 verification failure.
+Exit codes: 0 success, 1 validation or usage error or a failed solve
+(non-finite integration, weights missing the unit property), 2 crisp
+problem not uniquely solvable, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .ode import (
     LinearODE,
     NonUniqueCrispSolution,
     TimeGrid,
+    UnitPropertyError,
 )
 from .oracle import FDMesh, SingularDiscretizationError, compare, envelope
 from .solver import FuzzyBVP, SolutionBand, solve_fuzzy_bvp
@@ -364,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="fuzzybvp",
         description="Solve linear ODE boundary value problems with fuzzy boundary values.",
-        epilog="Exit codes: 0 success; 1 validation or usage error; "
+        epilog="Exit codes: 0 success; 1 validation or usage error, integration "
+               "blow-up, or weights missing the unit property (UnitPropertyError); "
                "2 crisp problem has no unique solution; 3 verification failure.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -418,7 +421,8 @@ def main(argv=None) -> int:
     except NonUniqueCrispSolution as exc:
         sys.stderr.write(f"{exc}\n")
         return 2
-    except (ValueError, IntegrationError, SingularDiscretizationError, OSError) as exc:
+    except (ValueError, IntegrationError, UnitPropertyError, SingularDiscretizationError,
+            OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

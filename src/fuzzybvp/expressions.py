@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class ExpressionError(ValueError):
     """Base class for expression parsing and evaluation failures."""
@@ -41,16 +43,37 @@ class EvaluationError(ExpressionError):
         self.t = t
 
 
-class Expression:
-    """Immutable expression tree node."""
+def _check(node: "Expression", t, bad, message: str) -> None:
+    """Raise EvaluationError at the first t where ``bad`` holds."""
+    if bad.any():
+        first = np.flatnonzero(bad)[0]
+        raise EvaluationError(message, node, float(np.ravel(t)[first]))
 
-    def evaluate(self, t: float) -> float:
+
+def _finite(node: "Expression", t, result, message: str = "non-finite result"):
+    finite = np.isfinite(result)
+    if not finite.all():
+        _check(node, t, ~finite, message)
+    return result
+
+
+class Expression:
+    """Immutable expression tree node.
+
+    ``evaluate`` takes a float or a numpy array of times and returns values
+    of the same shape (a numpy float for a scalar t): one ufunc call per
+    tree node, whatever the number of points.  Domain errors and
+    non-finite intermediate results raise EvaluationError naming the first
+    offending t.
+    """
+
+    def evaluate(self, t):
         raise NotImplementedError
 
     def to_text(self) -> str:
         raise NotImplementedError
 
-    def __call__(self, t: float) -> float:
+    def __call__(self, t):
         return self.evaluate(t)
 
 
@@ -59,7 +82,7 @@ class Number(Expression):
     value: float
 
     def evaluate(self, t):
-        return self.value
+        return np.full(np.shape(t), self.value, dtype=float)[()]
 
     def to_text(self):
         return repr(self.value)
@@ -68,7 +91,7 @@ class Number(Expression):
 @dataclass(frozen=True)
 class TimeVar(Expression):
     def evaluate(self, t):
-        return t
+        return np.asarray(t, dtype=float)[()]
 
     def to_text(self):
         return "t"
@@ -79,10 +102,14 @@ class Negate(Expression):
     operand: Expression
 
     def evaluate(self, t):
-        return -self.operand.evaluate(t)
+        return np.negative(self.operand.evaluate(t))
 
     def to_text(self):
         return f"(-{self.operand.to_text()})"
+
+
+_OPERATORS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+              "^": np.power}
 
 
 @dataclass(frozen=True)
@@ -94,37 +121,23 @@ class BinaryOp(Expression):
     def evaluate(self, t):
         a = self.left.evaluate(t)
         b = self.right.evaluate(t)
-        if self.op == "+":
-            result = a + b
-        elif self.op == "-":
-            result = a - b
-        elif self.op == "*":
-            result = a * b
-        elif self.op == "/":
-            if b == 0.0:
-                raise EvaluationError("division by zero", self, t)
-            result = a / b
-        elif self.op == "^":
-            try:
-                result = math.pow(a, b)
-            except (ValueError, OverflowError) as exc:
-                raise EvaluationError(f"invalid power ({exc})", self, t) from None
-        else:
-            raise AssertionError(f"unknown operator {self.op!r}")
-        if not math.isfinite(result):
-            raise EvaluationError("non-finite result", self, t)
-        return result
+        if self.op == "/":
+            _check(self, t, b == 0.0, "division by zero")
+        with np.errstate(all="ignore"):
+            result = _OPERATORS[self.op](a, b)
+        return _finite(self, t, result, "invalid power" if self.op == "^" else
+                       "non-finite result")
 
     def to_text(self):
         return f"({self.left.to_text()}{self.op}{self.right.to_text()})"
 
 
 _FUNCTIONS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "log": np.log,
+    "sqrt": np.sqrt,
 }
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
@@ -137,17 +150,13 @@ class FunctionCall(Expression):
 
     def evaluate(self, t):
         x = self.arg.evaluate(t)
-        if self.name == "log" and x <= 0.0:
-            raise EvaluationError("log of non-positive value", self, t)
-        if self.name == "sqrt" and x < 0.0:
-            raise EvaluationError("sqrt of negative value", self, t)
-        try:
+        if self.name == "log":
+            _check(self, t, x <= 0.0, "log of non-positive value")
+        elif self.name == "sqrt":
+            _check(self, t, x < 0.0, "sqrt of negative value")
+        with np.errstate(all="ignore"):
             result = _FUNCTIONS[self.name](x)
-        except (ValueError, OverflowError) as exc:
-            raise EvaluationError(f"function domain error ({exc})", self, t) from None
-        if not math.isfinite(result):
-            raise EvaluationError("non-finite result", self, t)
-        return result
+        return _finite(self, t, result)
 
     def to_text(self):
         return f"{self.name}({self.arg.to_text()})"
@@ -285,7 +294,7 @@ def parse(text: str) -> Expression:
     return node
 
 
-def evaluate(expr: Expression, t: float) -> float:
+def evaluate(expr: Expression, t):
     return expr.evaluate(t)
 
 

@@ -5,15 +5,17 @@ A linear ODE of order n,
     x^(n) + a_1(t) x^(n-1) + ... + a_n(t) x = f(t),
 
 is integrated as a first-order companion system with classical fixed-step
-RK4.  A fundamental basis is generated from canonical initial states; the
-boundary matrix collects basis values at the boundary points, and the
-weight functions are the basis combined with the inverse boundary matrix.
+RK4, applied as a prefix product of per-step affine maps.  A fundamental
+basis is generated from canonical initial states; the boundary matrix
+collects basis values at the boundary points, and the weight functions are
+the basis combined with the inverse boundary matrix (by a linear solve).
 The value of any solution at time t is then the weight vector at t applied
 to the boundary values, which is what the fuzzy layer builds on.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -33,6 +35,13 @@ class NonUniqueCrispSolution(Exception):
 
 class IntegrationError(Exception):
     """The integrator produced a non-finite state."""
+
+
+class UnitPropertyError(Exception):
+    """The computed weight functions miss the unit property (weight i is 1
+    at boundary point i and 0 at the others) by more than KRONECKER_TOL.
+    Rounding in an ill-conditioned boundary system, typical of stiff
+    problems with boundary points away from t0, is the usual cause."""
 
 
 @dataclass(frozen=True)
@@ -82,26 +91,30 @@ class TimeGrid:
     def nodes(self) -> np.ndarray:
         return np.linspace(self.t0, self.t_end, self.num_points)
 
-    def contains(self, t: float) -> bool:
+    def contains(self, t):
+        """Whether t (a float, or elementwise for an array) lies in the interval."""
         slack = 1e-12 * (self.t_end - self.t0)
-        return self.t0 - slack <= t <= self.t_end + slack
+        return (self.t0 - slack <= t) & (t <= self.t_end + slack)
 
 
-def _hermite_segment(grid: TimeGrid, t: float) -> tuple[int, float]:
-    """Segment index and normalized offset for cubic Hermite evaluation."""
-    if not grid.contains(t):
-        raise ValueError(f"t = {t} outside the grid interval [{grid.t0}, {grid.t_end}]")
+def _hermite(grid: TimeGrid, values: np.ndarray, slopes: np.ndarray, t) -> np.ndarray:
+    """Cubic Hermite interpolation of per-node ``values`` with d/dt ``slopes``.
+
+    ``t`` is a float or an array of times inside the grid interval; the
+    result has shape ``np.shape(t) + values.shape[1:]`` and is exact at the
+    nodes (4th-order accurate in between, matching the integrator).
+    """
+    t = np.asarray(t, dtype=float)
+    inside = grid.contains(t)
+    if not inside.all():
+        bad = float(t.ravel()[np.argmin(inside.ravel())])
+        raise ValueError(f"t = {bad} outside the grid interval [{grid.t0}, {grid.t_end}]")
     h = grid.step
-    i = int(np.floor((t - grid.t0) / h))
-    i = min(max(i, 0), grid.num_points - 2)
-    s = (t - (grid.t0 + i * h)) / h
-    return i, s
-
-
-def _hermite_weights(s: float) -> tuple[float, float, float, float]:
+    i = np.clip(np.floor((t - grid.t0) / h).astype(np.intp), 0, grid.num_points - 2)
+    s = ((t - (grid.t0 + i * h)) / h).reshape(t.shape + (1,) * (values.ndim - 1))
     s2, s3 = s * s, s * s * s
-    return (2.0 * s3 - 3.0 * s2 + 1.0, s3 - 2.0 * s2 + s,
-            -2.0 * s3 + 3.0 * s2, s3 - s2)
+    return ((2.0 * s3 - 3.0 * s2 + 1.0) * values[i] + (s3 - 2.0 * s2 + s) * h * slopes[i]
+            + (-2.0 * s3 + 3.0 * s2) * values[i + 1] + (s3 - s2) * h * slopes[i + 1])
 
 
 @dataclass(frozen=True)
@@ -139,88 +152,135 @@ class Trajectory:
     def values(self) -> np.ndarray:
         return self.states[:, 0]
 
-    def value(self, t: float) -> float:
-        """Solution value at t (exact at nodes, cubic Hermite in between)."""
-        i, s = _hermite_segment(self.grid, t)
-        if s == 0.0:
-            return float(self.states[i, 0])
-        h = self.grid.step
-        w0, w1, w2, w3 = _hermite_weights(s)
-        return float(w0 * self.states[i, 0] + w1 * h * self.slopes[i]
-                     + w2 * self.states[i + 1, 0] + w3 * h * self.slopes[i + 1])
+    def value(self, t):
+        """Solution value at t, a float or an array of times (exact at
+        nodes, cubic Hermite in between)."""
+        return _hermite(self.grid, self.values, self.slopes, t)[()]
+
+
+def _companion_rows(ode: LinearODE, grid: TimeGrid) -> np.ndarray:
+    """Row (-a_n, ..., -a_1, f) of the augmented companion matrix at every
+    point of the half-step lattice, where all RK4 stage times fall for a
+    fixed step.  Each expression is evaluated once, as an array."""
+    n = ode.order
+    half_times = grid.t0 + 0.5 * grid.step * np.arange(2 * grid.num_points - 1)
+    half_times[-1] = grid.t_end
+    rows = np.empty((len(half_times), n + 1))
+    for j, coeff in enumerate(reversed(ode.coeffs)):
+        rows[:, j] = -coeff.evaluate(half_times)
+    rows[:, n] = ode.forcing.evaluate(half_times)
+    return rows
+
+
+def _scan_step_maps(rows: np.ndarray, h: float, initial: np.ndarray) -> np.ndarray:
+    """Node states of the augmented system z' = C(t) z by RK4 step maps and
+    a blocked prefix scan.
+
+    C(t) is the (n+1) x (n+1) companion matrix [[A(t), f(t) e_n], [0, 0]]
+    whose row n-1 is ``rows[k]`` at half-step lattice point k.  For a
+    linear ODE one RK4 step is the matrix M_j = I + h/6 (K1 + 2 K2 + 2 K3
+    + K4) with K1 = C(t_j), K2 = C(t_j + h/2)(I + h/2 K1),
+    K3 = C(t_j + h/2)(I + h/2 K2) and K4 = C(t_j + h)(I + h K3), so the
+    state at node j is the prefix product M_{j-1} ... M_0 applied to
+    ``initial`` (shape (n+1, c), last row 1 where forcing applies).
+
+    The steps are cut into blocks of about sqrt(steps / 16) steps.  Maps
+    are built and multiplied up one in-block position at a time,
+    vectorized across blocks; a short sequential pass then carries the
+    state from block to block, and one batched product gives every node.  Only the value rows of the in-block products are kept, so the
+    memory held is a small multiple of the output.  Returns the first n
+    state components, shape (steps + 1, n, c).
+    """
+    steps = (len(rows) - 1) // 2
+    m = rows.shape[1]
+    n = m - 1
+    # One in-block position costs about 25 numpy calls and one carry costs
+    # one, so blocks of about sqrt(steps / 16) steps balance the two loops.
+    block = max(1, math.isqrt(steps // 16))
+    blocks = -(-steps // block)
+    first = np.arange(blocks) * block
+    eye = np.eye(m)
+    c1, c2, c3 = (np.tile(np.eye(m, k=1), (blocks, 1, 1)) for _ in range(3))
+    local = np.empty((blocks, block, n, m))
+    prefix = eye
+    for i in range(block):
+        # steps past the end repeat the last step; their states are dropped
+        k = 2 * np.minimum(first + i, steps - 1)
+        c1[:, n - 1], c2[:, n - 1], c3[:, n - 1] = rows[k], rows[k + 1], rows[k + 2]
+        stage = c1
+        total = c1.copy()
+        for c, a, w in ((c2, 0.5 * h, 2.0), (c2, 0.5 * h, 2.0), (c3, h, 1.0)):
+            stage = c @ (eye + a * stage)
+            total += w * stage
+        prefix = (eye + (h / 6.0) * total) @ prefix
+        local[:, i] = prefix[:, :n]
+    starts = np.empty((blocks,) + initial.shape)
+    starts[0] = initial
+    for b in range(1, blocks):
+        starts[b] = prefix[b - 1] @ starts[b - 1]
+    states = np.empty((blocks * block + 1, n, initial.shape[1]))
+    states[0] = initial[:n]
+    np.matmul(local, starts[:, None], out=states[1:].reshape(blocks, block, n, -1))
+    return states[:steps + 1]
+
+
+def _propagate(ode: LinearODE, grid: TimeGrid, initial: np.ndarray):
+    """Integrate the companion system from each column of ``initial`` (n, c).
+
+    Returns node states (N, n, c) and value-channel slopes (N, c); raises
+    IntegrationError at the first node whose state is not finite.
+    """
+    n = ode.order
+    rows = _companion_rows(ode, grid)
+    augmented = np.vstack([initial, np.ones((1, initial.shape[1]))])
+    # overflow is detected via the finiteness check, not numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = _scan_step_maps(rows, grid.step, augmented)
+    finite = np.isfinite(states).all(axis=(1, 2))
+    if not finite.all():
+        node = int(np.argmin(finite))
+        raise IntegrationError(f"integration blew up at node {node} "
+                               f"(t = {grid.t0 + node * grid.step:g})")
+    if n >= 2:
+        slopes = states[:, 1]
+    else:  # x' = -a_1 x + f; the augmented component stays exactly 1
+        slopes = rows[::2, :1] * states[:, 0] + rows[::2, 1:]
+    return states, slopes
 
 
 def integrate_ivp(ode: LinearODE, initial_state, grid: TimeGrid) -> Trajectory:
     """Integrate the companion first-order system with classical RK4.
 
-    Coefficients and forcing are evaluated once on the half-step lattice
-    (where all RK4 stage times fall for a fixed step), so the stepping loop
-    is pure arithmetic.  Raises IntegrationError when a state stops being
-    finite.
+    The RK4 steps are applied as step maps through a blocked prefix scan
+    (see ``_scan_step_maps``).  Raises IntegrationError when a state stops
+    being finite.
     """
     n = ode.order
     state = np.array(initial_state, dtype=float)
     if state.shape != (n,):
         raise ValueError(f"initial state must have {n} components, got shape {state.shape}")
-
-    steps = grid.num_points - 1
-    h = grid.step
-    half_times = grid.t0 + 0.5 * h * np.arange(2 * steps + 1)
-    half_times[-1] = grid.t_end
-    coeff_vals = np.array([[c.evaluate(float(t)) for t in half_times] for c in ode.coeffs])
-    force_vals = np.array([ode.forcing.evaluate(float(t)) for t in half_times])
-
-    def rhs(s: np.ndarray, k: int) -> np.ndarray:
-        d = np.empty(n)
-        d[: n - 1] = s[1:]
-        d[n - 1] = force_vals[k] - coeff_vals[:, k] @ s[::-1]
-        return d
-
-    states = np.empty((grid.num_points, n))
-    states[0] = state
-    sixth = h / 6.0
-    # overflow is detected via the finiteness check, not numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(steps):
-            k = 2 * j
-            d1 = rhs(state, k)
-            d2 = rhs(state + 0.5 * h * d1, k + 1)
-            d3 = rhs(state + 0.5 * h * d2, k + 1)
-            d4 = rhs(state + h * d3, k + 2)
-            state = state + sixth * (d1 + 2.0 * (d2 + d3) + d4)
-            if not np.isfinite(state).all():
-                raise IntegrationError(
-                    f"integration blew up at node {j + 1} (t = {half_times[k + 2]:g})")
-            states[j + 1] = state
-
-    if n >= 2:
-        slopes = states[:, 1].copy()
-    else:
-        slopes = force_vals[::2] - coeff_vals[0, ::2] * states[:, 0]
-    return Trajectory(grid, states, slopes)
+    states, slopes = _propagate(ode, grid, state[:, None])
+    return Trajectory(grid, states[:, :, 0], slopes[:, 0])
 
 
 def homogeneous_basis(ode: LinearODE, grid: TimeGrid) -> tuple[Trajectory, ...]:
     """n fundamental solutions from canonical initial states e_1, ..., e_n.
 
     The state matrix at t0 is the identity, so the set is linearly
-    independent (unit Wronskian at t0).
+    independent (unit Wronskian at t0).  All n columns share one scan.
     """
-    homogeneous = ode.homogeneous()
-    return tuple(integrate_ivp(homogeneous, np.eye(ode.order)[i], grid)
-                 for i in range(ode.order))
+    states, slopes = _propagate(ode.homogeneous(), grid, np.eye(ode.order))
+    return tuple(Trajectory(grid, states[:, :, i], slopes[:, i]) for i in range(ode.order))
 
 
 def boundary_matrix(basis: Sequence[Trajectory], points: Sequence[float]) -> np.ndarray:
     """Matrix with entry [j, i] = value of basis solution i at boundary point j."""
     grid = basis[0].grid
-    mat = np.empty((len(points), len(basis)))
-    for j, p in enumerate(points):
+    for p in points:
         if not grid.contains(p):
             raise ValueError(f"boundary point {p} outside [{grid.t0}, {grid.t_end}]")
-        for i, traj in enumerate(basis):
-            mat[j, i] = traj.value(p)
-    return mat
+    points = np.array(points, dtype=float)
+    return np.column_stack([traj.value(points) for traj in basis])
 
 
 def require_invertible(mat: np.ndarray) -> None:
@@ -255,37 +315,38 @@ class WeightBasis:
     def order(self) -> int:
         return len(self.basis)
 
-    def weight_at(self, t: float) -> np.ndarray:
-        """Weight vector at t (cubic Hermite off the nodes)."""
-        i, s = _hermite_segment(self.grid, t)
-        if s == 0.0:
-            return self.weights[i].copy()
-        h = self.grid.step
-        w0, w1, w2, w3 = _hermite_weights(s)
-        return (w0 * self.weights[i] + w1 * h * self.weight_slopes[i]
-                + w2 * self.weights[i + 1] + w3 * h * self.weight_slopes[i + 1])
+    def weight_at(self, t) -> np.ndarray:
+        """Weight vector at t (cubic Hermite off the nodes); for an array
+        of times, one weight vector per time."""
+        return _hermite(self.grid, self.weights, self.weight_slopes, t)
 
 
 def weight_functions(basis: Sequence[Trajectory], boundary_points: Sequence[float]) -> WeightBasis:
-    """Weight functions: basis values combined with the inverse boundary matrix."""
+    """Weight functions: the basis values times the inverse boundary matrix,
+    computed as one solve of the transposed boundary system.
+
+    Raises NonUniqueCrispSolution for a singular boundary matrix and
+    UnitPropertyError when rounding leaves the weights off the unit
+    property at a boundary point by more than KRONECKER_TOL.
+    """
     basis = tuple(basis)
     points = tuple(float(p) for p in boundary_points)
     mat = boundary_matrix(basis, points)
     require_invertible(mat)
-    inv = np.linalg.inv(mat)
     values = np.column_stack([traj.values for traj in basis])
     slopes = np.column_stack([traj.slopes for traj in basis])
-    weights = values @ inv
-    weight_slopes = slopes @ inv
+    weights = np.linalg.solve(mat.T, values.T).T.copy()
+    weight_slopes = np.linalg.solve(mat.T, slopes.T).T.copy()
     for arr in (mat, weights, weight_slopes):
         arr.flags.writeable = False
     wb = WeightBasis(basis[0].grid, basis, points, mat, weights, weight_slopes)
-    for j, p in enumerate(points):
-        unit = np.zeros(len(points))
-        unit[j] = 1.0
-        if np.max(np.abs(wb.weight_at(p) - unit)) > KRONECKER_TOL:
-            raise RuntimeError(
-                f"weight functions fail the unit property at boundary point {p}")
+    miss = np.abs(wb.weight_at(np.array(points)) - np.eye(len(points))).max(axis=1)
+    for p, r in zip(points, miss):
+        if r > KRONECKER_TOL:
+            raise UnitPropertyError(
+                f"weight functions miss the unit property at boundary point {p} by "
+                f"{r:.1e} (tolerance {KRONECKER_TOL:g}): the boundary system is too "
+                f"ill-conditioned for this grid")
     return wb
 
 
@@ -323,6 +384,6 @@ def solve_crisp_bvp(ode: LinearODE, boundary, grid: TimeGrid) -> Trajectory:
     particular = integrate_ivp(ode, np.zeros(ode.order), grid)
     mat = boundary_matrix(basis, points)
     require_invertible(mat)
-    residual = values - np.array([particular.value(p) for p in points])
+    residual = values - particular.value(np.array(points))
     coefficients = np.linalg.solve(mat, residual)
     return combine(particular, basis, coefficients)

@@ -52,9 +52,9 @@ def _interior_coefficients(ode: LinearODE, mesh: FDMesh):
     """
     h = mesh.step
     interior = mesh.nodes()[1:-1]
-    a1 = np.array([ode.coeffs[0].evaluate(float(t)) for t in interior])
-    a2 = np.array([ode.coeffs[1].evaluate(float(t)) for t in interior])
-    force = np.array([ode.forcing.evaluate(float(t)) for t in interior])
+    a1 = ode.coeffs[0].evaluate(interior)
+    a2 = ode.coeffs[1].evaluate(interior)
+    force = ode.forcing.evaluate(interior)
     inv_h2 = 1.0 / (h * h)
     half_h = 0.5 / h
     sub = inv_h2 - a1 * half_h

@@ -164,8 +164,8 @@ class FuzzySolution:
             weights = self.weight_basis.weights
         else:
             nodes = grid.nodes()
-            crisp_vals = np.array([self.crisp.value(t) for t in nodes])
-            weights = np.array([self.weight_basis.weight_at(t) for t in nodes])
+            crisp_vals = self.crisp.value(nodes)
+            weights = self.weight_basis.weight_at(nodes)
         lower = np.empty((len(levels), grid.num_points))
         upper = np.empty((len(levels), grid.num_points))
         for k, alpha in enumerate(levels):
@@ -206,7 +206,7 @@ def solve_fuzzy_bvp(problem: FuzzyBVP) -> FuzzySolution:
     basis = homogeneous_basis(problem.ode, problem.grid)
     wb = weight_functions(basis, points)
     particular = integrate_ivp(problem.ode, np.zeros(problem.ode.order), problem.grid)
-    residual = np.array(crisp_values) - np.array([particular.value(p) for p in points])
+    residual = np.array(crisp_values) - particular.value(np.array(points))
     coefficients = np.linalg.solve(wb.matrix, residual)
     crisp = combine(particular, basis, coefficients)
     return assemble(crisp, wb, uncertain_parts, crisp_values)

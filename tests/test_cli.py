@@ -38,6 +38,16 @@ RESONANT = {
 }
 
 
+STIFF_AWAY_FROM_T0 = {
+    "equation": {"order": 2, "coeffs": ["0", "-324"], "forcing": "0"},
+    "interval": {"t0": 0, "T": 1},
+    "conditions": [
+        {"t": 0.3, "value": {"type": "triangular", "l": 0.5, "m": 1, "r": 1.5}},
+        {"t": 1, "value": {"type": "triangular", "l": 1.5, "m": 2, "r": 2.5}},
+    ],
+}
+
+
 class TestLoadProblem:
     def test_example1_loads(self, tmp_path):
         problem = load_problem(write_example(tmp_path, 1))
@@ -185,6 +195,14 @@ class TestSolveCommand:
         assert run_cli(["solve", str(path)]) == 2
         assert "no unique solution" in capsys.readouterr().err
 
+    def test_unit_property_failure_exits_1_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "stiff.json"
+        path.write_text(json.dumps(STIFF_AWAY_FROM_T0), encoding="utf-8")
+        assert run_cli(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: weight functions miss the unit property")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_validation_error_exits_1(self, tmp_path, capsys):
         doc = example_problem_document(1)
         doc["equation"]["forcing"] = "4*t -"
@@ -251,4 +269,6 @@ class TestCsvFormatting:
     def test_help_mentions_exit_codes(self, capsys):
         code = run_cli(["--help"])
         assert code == 0
-        assert "Exit codes" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "Exit codes" in out
+        assert "UnitPropertyError" in out

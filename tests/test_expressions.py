@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -150,3 +151,27 @@ def test_printer_round_trip_property(t):
 def test_printer_emits_parseable_text():
     text = parse("-(4*t - 6)^2").to_text()
     assert parse(text).evaluate(2.0) == -4.0
+
+
+@pytest.mark.parametrize("text", PRINTER_CORPUS)
+def test_array_evaluation_matches_scalar(text):
+    expr = parse(text)
+    times = np.linspace(-3.0, 3.0, 61)
+    values = expr.evaluate(times)
+    assert values.shape == times.shape
+    scalars = [expr.evaluate(float(t)) for t in times]
+    assert all(isinstance(v, float) for v in scalars)
+    np.testing.assert_allclose(values, scalars, rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("text, times, message, first", [
+    ("1/(t-1)", np.linspace(0.0, 2.0, 5), "division by zero", 1.0),
+    ("log(t)", [2.0, 1.0, -1.0, 0.0], "log of non-positive", -1.0),
+    ("sqrt(t)", [4.0, 0.0, -4.0, -9.0], "sqrt of negative", -4.0),
+    ("10^t", [1.0, 2.0, 400.0, 500.0], "invalid power", 400.0),
+])
+def test_array_errors_name_the_first_offending_t(text, times, message, first):
+    with pytest.raises(EvaluationError, match=message) as info:
+        parse(text).evaluate(np.array(times))
+    assert info.value.t == first
+    assert f"at t = {first:g}" in str(info.value)

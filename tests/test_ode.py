@@ -5,11 +5,13 @@ import pytest
 
 import reference
 from fuzzybvp.ode import (
+    KRONECKER_TOL,
     IntegrationError,
     LinearODE,
     NonUniqueCrispSolution,
     TimeGrid,
     Trajectory,
+    UnitPropertyError,
     boundary_matrix,
     homogeneous_basis,
     integrate_ivp,
@@ -19,6 +21,38 @@ from fuzzybvp.ode import (
 
 EX1_ODE = LinearODE.from_strings(2, ["-3", "2"], "4*t - 6")
 EX2_ODE = LinearODE.from_strings(2, ["0", "16"], "47 - 8*t^2")
+
+
+def rk4_loop(ode, initial_state, grid):
+    """Reference: classical RK4 on the companion system, one step at a
+    time, with scalar coefficient evaluation at every stage time."""
+    n = ode.order
+    h = grid.step
+
+    def rhs(t, s):
+        d = np.empty(n)
+        d[:-1] = s[1:]
+        d[-1] = ode.forcing.evaluate(t) - sum(
+            c.evaluate(t) * s[n - 1 - i] for i, c in enumerate(ode.coeffs))
+        return d
+
+    states = [np.array(initial_state, dtype=float)]
+    for j in range(grid.num_points - 1):
+        t, s = grid.t0 + j * h, states[-1]
+        d1 = rhs(t, s)
+        d2 = rhs(t + 0.5 * h, s + 0.5 * h * d1)
+        d3 = rhs(t + 0.5 * h, s + 0.5 * h * d2)
+        d4 = rhs(t + h, s + h * d3)
+        states.append(s + h / 6.0 * (d1 + 2.0 * (d2 + d3) + d4))
+    return np.array(states)
+
+
+VARIABLE_ODES = {
+    1: LinearODE.from_strings(1, ["cos(t)"], "exp(-t) + t"),
+    2: LinearODE.from_strings(2, ["sin(t)", "1 + t^2"], "t^3 - sqrt(1 + t)"),
+    4: LinearODE.from_strings(4, ["sin(t)", "1 + t^2", "exp(-t)", "-2*cos(3*t)"],
+                              "t^3 - sqrt(1 + t)"),
+}
 
 
 def analytic_trajectory(grid, fn, dfn):
@@ -68,6 +102,22 @@ class TestIntegrateIvp:
         traj = integrate_ivp(EX1_ODE.homogeneous(), [1.0, 1.0], grid)
         with pytest.raises(ValueError, match="outside"):
             traj.value(1.5)
+
+    # 200 steps leave the scan's last block short, 64 fill every block,
+    # and 8 make blocks of one step
+    @pytest.mark.parametrize("num_points", [201, 65, 9])
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    def test_step_map_scan_matches_plain_rk4_loop(self, order, num_points):
+        ode = VARIABLE_ODES[order]
+        grid = TimeGrid(0.0, 2.0, num_points)
+        initial = np.linspace(1.0, -0.5, order)
+        expected = rk4_loop(ode, initial, grid)
+        states = integrate_ivp(ode, initial, grid).states
+        assert np.max(np.abs(states - expected)) <= 1e-10 * np.max(np.abs(expected))
+        basis = homogeneous_basis(ode, grid)
+        for i, traj in enumerate(basis):
+            expected = rk4_loop(ode.homogeneous(), np.eye(order)[i], grid)
+            assert np.max(np.abs(traj.states - expected)) <= 1e-10 * np.max(np.abs(expected))
 
 
 class TestHomogeneousBasis:
@@ -176,6 +226,24 @@ class TestWeightFunctions:
         assert abs(det) < 1e-12 * np.abs(mat).sum(axis=1).max() ** 2
         with pytest.raises(NonUniqueCrispSolution):
             weight_functions(basis, [0.0, 1.0])
+
+    @pytest.mark.parametrize("k", [18, 19, 20])
+    def test_stiff_weights_match_sinh_closed_forms(self, k):
+        ode = LinearODE.from_strings(2, ["0", f"-{k * k}"], "0")
+        grid = TimeGrid(0.0, 1.0, 1001)
+        wb = weight_functions(homogeneous_basis(ode, grid), [0.0, 1.0])
+        t = grid.nodes()
+        assert np.max(np.abs(wb.weights[:, 0] - np.sinh(k * (1 - t)) / np.sinh(k))) <= 1e-6
+        assert np.max(np.abs(wb.weights[:, 1] - np.sinh(k * t) / np.sinh(k))) <= 1e-6
+        assert np.max(np.abs(wb.weight_at(np.array([0.0, 1.0])) - np.eye(2))) <= KRONECKER_TOL
+
+    def test_unit_property_failure_is_a_documented_error(self):
+        # x'' = 324 x with both points away from t0: rounding in the boundary
+        # system leaves the weights some 1e-7 off the unit property
+        ode = LinearODE.from_strings(2, ["0", "-324"], "0")
+        basis = homogeneous_basis(ode, TimeGrid(0.0, 1.0, 1001))
+        with pytest.raises(UnitPropertyError, match="unit property at boundary point"):
+            weight_functions(basis, [0.3, 1.0])
 
 
 class TestSolveCrispBvp:

@@ -169,6 +169,16 @@ class TestBand:
             assert band.lower[0, i] == pytest.approx(cut.lo, abs=1e-12)
             assert band.upper[0, i] == pytest.approx(cut.hi, abs=1e-12)
 
+    def test_off_grid_band_matches_value_at_everywhere(self, solution2):
+        # 997 output nodes fall between the 1001 solution nodes
+        out = TimeGrid(0.0, 2.0, 997)
+        levels = [0.0, 0.6, 1.0]
+        band = solution2.band(levels, grid=out)
+        for k, alpha in enumerate(levels):
+            cuts = [solution2.value_at(float(t), alpha) for t in out.nodes()]
+            assert np.max(np.abs(band.lower[k] - [c.lo for c in cuts])) <= 1e-12
+            assert np.max(np.abs(band.upper[k] - [c.hi for c in cuts])) <= 1e-12
+
 
 def interval_arithmetic_cut(solution, t, alpha):
     """Evaluate the solution cut by fuzzy scale/add instead of min/max."""
