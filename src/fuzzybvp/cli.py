@@ -305,6 +305,16 @@ def _parse_alpha_list(text: str) -> tuple[float, ...]:
     return values
 
 
+def _parse_tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not 0.0 <= value < float("inf"):  # also rejects nan
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0: {text!r}")
+    return value
+
+
 def cmd_solve(args) -> int:
     problem, output = problem_from_document(_read_document(args.problem))
     alphas = args.alphas if args.alphas is not None else output.alphas
@@ -397,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="samples per rectangle axis (default: 2, the corners)")
     verify.add_argument("--mesh", type=int, default=VERIFY_DEFAULT_MESH,
                         help="interior mesh points for the oracle (default: 1999)")
-    verify.add_argument("--tolerance", type=float, default=VERIFY_DEFAULT_TOLERANCE,
+    verify.add_argument("--tolerance", type=_parse_tolerance,
+                        default=VERIFY_DEFAULT_TOLERANCE,
                         help="maximum allowed deviation (default: 1e-4)")
     verify.add_argument("--out", default=None, help="report path (default: stdout)")
     verify.set_defaults(handler=cmd_verify)

@@ -2,10 +2,14 @@
 
 This module deliberately avoids the RK4/weight-function machinery.  It
 discretizes order-2 two-point problems with central differences on a
-uniform mesh, solves the tridiagonal system with the Thomas algorithm, and
-builds per-node envelopes by sampling crisp problems over the boundary
-alpha-cut rectangle.  Only the expression evaluator is shared with the
-main solve path.
+uniform mesh and solves the crisp problem for every sample pair on a grid
+over the boundary alpha-cut rectangle.  One Thomas kernel factors the
+matrix once, runs the forward sweep once per distinct left sample (the
+right value enters only at the last row) and the back sweep on all pairs
+at once, folding each node's min/max into the envelope.  Every pair still
+gets exactly the float operations of its own solve; no superposition is
+used, so the envelope does not lean on the linearity the solver rests on.
+Only the expression evaluator is shared with the main solve path.
 """
 
 from __future__ import annotations
@@ -63,27 +67,45 @@ def _interior_coefficients(ode: LinearODE, mesh: FDMesh):
     return sub, diag, sup, force
 
 
-def _thomas(sub, diag, sup, rhs) -> list[float]:
-    """Thomas elimination for a tridiagonal system (plain-float sweeps)."""
+def _thomas_envelope(sub, diag, sup, force, lefts, rights):
+    """Per-node (lower, upper) over the Thomas solutions of all (left, right) pairs."""
+    sub, diag, sup, force = sub.tolist(), diag.tolist(), sup.tolist(), force.tolist()
     m = len(diag)
     tiny = np.finfo(float).tiny
-    ratios = [0.0] * m
-    partial = [0.0] * m
-    pivot = diag[0]
-    if abs(pivot) < tiny:
-        raise SingularDiscretizationError("zero pivot at interior node 1")
-    partial[0] = rhs[0] / pivot
-    for i in range(1, m):
-        ratios[i - 1] = sup[i - 1] / pivot
-        pivot = diag[i] - sub[i] * ratios[i - 1]
-        if abs(pivot) < tiny:
+    pivots, ratios = [diag[0]], []
+    for i in range(m):
+        if abs(pivots[i]) < tiny:
             raise SingularDiscretizationError(f"zero pivot at interior node {i + 1}")
-        partial[i] = (rhs[i] - sub[i] * partial[i - 1]) / pivot
-    x = [0.0] * m
-    x[m - 1] = partial[m - 1]
-    for i in range(m - 2, -1, -1):
-        x[i] = partial[i] - ratios[i] * x[i + 1]
-    return x
+        if i + 1 < m:
+            ratios.append(sup[i] / pivots[i])
+            pivots.append(diag[i + 1] - sub[i + 1] * ratios[i])
+    lefts, rights = np.asarray(lefts, dtype=float), np.asarray(rights, dtype=float)
+    rows = list(zip(force, sub, pivots))[1:m - 1]
+    partial = np.empty((m - 1, lefts.size, 1))
+    for j, a in enumerate(lefts.tolist()):
+        p = (force[0] - sub[0] * a) / pivots[0]
+        column = [p]
+        for f, s, q in rows:
+            p = (f - s * p) / q
+            column.append(p)
+        partial[:, j, 0] = column
+    lower, upper = np.empty(m + 2), np.empty(m + 2)
+    lower[0], upper[0], lower[-1], upper[-1] = lefts.min(), lefts.max(), rights.min(), rights.max()
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = ((force[-1] - sup[-1] * rights) - sub[-1] * partial[-1]) / pivots[-1]
+        lower[m], upper[m] = x.min(), x.max()
+        # Back-sweep rows are held one block (at most 2**15 doubles) at a time.
+        stack = np.empty((min(m - 1, max(1, 2 ** 15 // x.size)),) + x.shape)
+        for stop in range(m - 1, 0, -len(stack)):
+            start = max(stop - len(stack), 0)
+            for i in range(stop - 1, start - 1, -1):
+                x = np.multiply(x, ratios[i], out=stack[i - start])
+                np.subtract(partial[i], x, out=x)
+            values = stack[:stop - start].reshape(stop - start, -1)
+            lower[start + 1:stop + 1], upper[start + 1:stop + 1] = values.min(1), values.max(1)
+    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+        raise SingularDiscretizationError("discretized system produced non-finite values")
+    return lower, upper
 
 
 def fd_solve(ode: LinearODE, left_value: float, right_value: float,
@@ -94,23 +116,7 @@ def fd_solve(ode: LinearODE, left_value: float, right_value: float,
     """
     if ode.order != 2:
         raise ValueError(f"finite-difference solver supports order 2 only, got {ode.order}")
-    sub, diag, sup, force = _interior_coefficients(ode, mesh)
-    return _fd_solve_prepared(sub.tolist(), diag.tolist(), sup.tolist(), force.tolist(),
-                              float(left_value), float(right_value))
-
-
-def _fd_solve_prepared(sub, diag, sup, force, left_value, right_value) -> np.ndarray:
-    rhs = list(force)
-    rhs[0] -= sub[0] * left_value
-    rhs[-1] -= sup[-1] * right_value
-    interior = _thomas(sub, diag, sup, rhs)
-    out = np.empty(len(interior) + 2)
-    out[0] = left_value
-    out[1:-1] = interior
-    out[-1] = right_value
-    if not np.isfinite(out).all():
-        raise SingularDiscretizationError("discretized system produced non-finite values")
-    return out
+    return _thomas_envelope(*_interior_coefficients(ode, mesh), [left_value], [right_value])[0]
 
 
 @dataclass(frozen=True)
@@ -150,16 +156,8 @@ def envelope(problem: FuzzyBVP, alpha: float, samples_per_axis: int,
     left_samples = np.linspace(left_cut.lo, left_cut.hi, samples_per_axis)
     right_samples = np.linspace(right_cut.lo, right_cut.hi, samples_per_axis)
 
-    sub, diag, sup, force = _interior_coefficients(problem.ode, mesh)
-    sub, diag, sup, force = sub.tolist(), diag.tolist(), sup.tolist(), force.tolist()
-    lower = np.full(mesh.interior_points + 2, np.inf)
-    upper = np.full(mesh.interior_points + 2, -np.inf)
-    for a in left_samples:
-        for b in right_samples:
-            x = _fd_solve_prepared(sub, diag, sup, force, float(a), float(b))
-            np.minimum(lower, x, out=lower)
-            np.maximum(upper, x, out=upper)
-    return OracleEnvelope(mesh, float(alpha), lower, upper)
+    return OracleEnvelope(mesh, float(alpha), *_thomas_envelope(
+        *_interior_coefficients(problem.ode, mesh), left_samples, right_samples))
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,11 @@ against them.
 import functools
 import math
 
+import numpy as np
+
 from fuzzybvp import TriangularFuzzyNumber
 from fuzzybvp.ode import LinearODE, TimeGrid
+from fuzzybvp.oracle import _interior_coefficients
 from fuzzybvp.solver import FuzzyBVP, solve_fuzzy_bvp
 
 E = math.e
@@ -79,3 +82,48 @@ def solved_example1():
 @functools.lru_cache(maxsize=None)
 def solved_example2():
     return solve_fuzzy_bvp(make_example2())
+
+
+# --- Scalar finite-difference reference ----------------------------------
+# One plain-float Thomas solve per (left, right) pair, min/max accumulated
+# pair by pair.  The oracle's shared-factorization kernel must match it bit
+# for bit, because it runs the same float operations for every pair.
+
+
+def thomas(sub, diag, sup, rhs):
+    m = len(diag)
+    ratios = [0.0] * m
+    partial = [0.0] * m
+    pivot = diag[0]
+    partial[0] = rhs[0] / pivot
+    for i in range(1, m):
+        ratios[i - 1] = sup[i - 1] / pivot
+        pivot = diag[i] - sub[i] * ratios[i - 1]
+        partial[i] = (rhs[i] - sub[i] * partial[i - 1]) / pivot
+    x = [0.0] * m
+    x[m - 1] = partial[m - 1]
+    for i in range(m - 2, -1, -1):
+        x[i] = partial[i] - ratios[i] * x[i + 1]
+    return x
+
+
+def fd_solve_scalar(ode, left_value, right_value, mesh):
+    sub, diag, sup, force = (c.tolist() for c in _interior_coefficients(ode, mesh))
+    rhs = list(force)
+    rhs[0] -= sub[0] * left_value
+    rhs[-1] -= sup[-1] * right_value
+    return np.array([left_value, *thomas(sub, diag, sup, rhs), right_value])
+
+
+def envelope_scalar(problem, alpha, samples_per_axis, mesh):
+    """(lower, upper) for conditions at the two mesh ends, in that order."""
+    (_, left), (_, right) = problem.conditions
+    left_cut, right_cut = left.alpha_cut(alpha), right.alpha_cut(alpha)
+    lower = np.full(mesh.interior_points + 2, np.inf)
+    upper = np.full(mesh.interior_points + 2, -np.inf)
+    for a in np.linspace(left_cut.lo, left_cut.hi, samples_per_axis):
+        for b in np.linspace(right_cut.lo, right_cut.hi, samples_per_axis):
+            x = fd_solve_scalar(problem.ode, float(a), float(b), mesh)
+            np.minimum(lower, x, out=lower)
+            np.maximum(upper, x, out=upper)
+    return lower, upper

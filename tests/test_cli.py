@@ -243,6 +243,20 @@ class TestVerifyCommand:
         assert code == 3
         assert "verification failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+    def test_tolerance_validated_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                                  tolerance):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("solve ran despite a usage error")
+
+        monkeypatch.setattr("fuzzybvp.cli.envelope", must_not_run)
+        monkeypatch.setattr("fuzzybvp.cli.solve_fuzzy_bvp", must_not_run)
+        path = write_example(tmp_path, 1)
+        assert run_cli(["verify", path, "--tolerance", tolerance]) == 1
+        err = capsys.readouterr().err
+        assert "tolerance must be finite and >= 0" in err
+        assert "verification failed" not in err
+
     def test_higher_order_rejected(self, tmp_path, capsys):
         doc = {
             "equation": {"order": 3, "coeffs": ["0", "0", "0"], "forcing": "0"},

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from fuzzybvp.solver import FuzzyBVP
 
 EX1_ODE = LinearODE.from_strings(2, ["-3", "2"], "4*t - 6")
 EX2_ODE = LinearODE.from_strings(2, ["0", "16"], "47 - 8*t^2")
+VARIABLE_ODE = LinearODE.from_strings(2, ["sin(t)", "1 + t^2"], "t")
 
 
 class TestFdSolve:
@@ -65,6 +68,12 @@ class TestFdSolve:
         with pytest.raises(SingularDiscretizationError, match="pivot"):
             fd_solve(ode, 0.0, 1.0, FDMesh(0.0, 1.0, 3))
 
+    def test_overflow_raises_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularDiscretizationError, match="non-finite"):
+                fd_solve(EX1_ODE, 1e308, 0.0, FDMesh(0.0, 1.0, 9))
+
     def test_mesh_validation(self):
         with pytest.raises(ValueError, match="interior points"):
             FDMesh(0.0, 1.0, 2)
@@ -113,6 +122,23 @@ class TestEnvelope:
         env = envelope(example1, 1.0, 2, mesh1)
         assert np.max(env.upper - env.lower) <= 1e-12
 
+    def test_zero_pivot_detected(self):
+        # h = 1/4, so a2 = 2/h^2 = 32 zeroes the first pivot
+        ode = LinearODE.from_strings(2, ["0", "32"], "0")
+        conds = ((0.0, TriangularFuzzyNumber(0, 1, 2)), (1.0, TriangularFuzzyNumber(0, 1, 2)))
+        problem = FuzzyBVP(ode, conds, TimeGrid(0.0, 1.0, 101))
+        with pytest.raises(SingularDiscretizationError, match="pivot at interior node 1"):
+            envelope(problem, 0.0, 3, FDMesh(0.0, 1.0, 3))
+
+    def test_overflow_raises_without_warnings(self):
+        conds = ((0.0, TriangularFuzzyNumber(1e307, 2e307, 1e308)),
+                 (1.0, TriangularFuzzyNumber(0, 1, 2)))
+        problem = FuzzyBVP(EX1_ODE, conds, TimeGrid(0.0, 1.0, 101))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularDiscretizationError, match="non-finite"):
+                envelope(problem, 0.0, 3, FDMesh(0.0, 1.0, 9))
+
     def test_sample_count_validated(self, example1, mesh1):
         with pytest.raises(ValueError, match="2 samples"):
             envelope(example1, 0.0, 1, mesh1)
@@ -132,6 +158,44 @@ class TestEnvelope:
         problem = FuzzyBVP(ode, conds, TimeGrid(0.0, 1.0, 101))
         with pytest.raises(ValueError, match="order 2 only"):
             envelope(problem, 0.0, 2, FDMesh(0.0, 1.0, 9))
+
+
+def variable_problem():
+    conds = ((0.0, TriangularFuzzyNumber(-1.0, 0.0, 0.5)),
+             (1.5, TriangularFuzzyNumber(1.0, 2.0, 4.0)))
+    return FuzzyBVP(VARIABLE_ODE, conds, TimeGrid(0.0, 1.5, 101))
+
+
+EXACTNESS_PROBLEMS = {
+    "example1-alpha0": (reference.make_example1, 0.0),
+    "example2-alpha0.6": (reference.make_example2, 0.6),
+    "variable-alpha0.3": (variable_problem, 0.3),
+    "example1-alpha1": (reference.make_example1, 1.0),
+}
+
+
+class TestExactness:
+    """The shared-factorization kernel against one scalar Thomas solve per pair."""
+
+    @pytest.mark.parametrize("interior", [3, 199])
+    @pytest.mark.parametrize("samples", [2, 3, 21])
+    @pytest.mark.parametrize("name", list(EXACTNESS_PROBLEMS))
+    def test_envelope_equals_scalar_loop(self, name, samples, interior):
+        make, alpha = EXACTNESS_PROBLEMS[name]
+        problem = make()
+        mesh = FDMesh(problem.grid.t0, problem.grid.t_end, interior)
+        env = envelope(problem, alpha, samples, mesh)
+        lower, upper = reference.envelope_scalar(problem, alpha, samples, mesh)
+        assert np.array_equal(env.lower, lower)
+        assert np.array_equal(env.upper, upper)
+
+    @pytest.mark.parametrize("interior", [3, 199, 1999])
+    @pytest.mark.parametrize("ode, t_end", [(EX1_ODE, 1.0), (EX2_ODE, 2.0), (VARIABLE_ODE, 1.5)])
+    def test_fd_solve_equals_scalar_loop(self, ode, t_end, interior):
+        mesh = FDMesh(0.0, t_end, interior)
+        for a, b in ((2.0, 3.0), (-1.25, 0.0), (1e-3, -7.5)):
+            assert np.array_equal(fd_solve(ode, a, b, mesh),
+                                  reference.fd_solve_scalar(ode, a, b, mesh))
 
 
 class TestCompare:
