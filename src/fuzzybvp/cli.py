@@ -19,6 +19,8 @@ import json
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .expressions import ExpressionError, parse
 from .fuzzy import fuzzy_from_json
 from .ode import (
@@ -37,6 +39,9 @@ DEFAULT_OUTPUT_ALPHAS = (0.0, 0.5, 1.0)
 VERIFY_DEFAULT_MESH = 1999
 VERIFY_DEFAULT_SAMPLES = 2
 VERIFY_DEFAULT_TOLERANCE = 1e-4
+# Rows per "%" call in band_to_csv: enough to amortize the call, few enough
+# that the block's cell tuple stays small next to the output text.
+CSV_BLOCK_ROWS = 4096
 
 EXAMPLE_PROBLEMS = {
     1: {
@@ -251,6 +256,9 @@ def _round12(x: float) -> float:
 def _round_tree(obj):
     if isinstance(obj, float):
         return _round12(obj)
+    if isinstance(obj, np.ndarray):
+        # One "%" for the whole array; "%.12g" and f"{x:.12g}" give the same bytes.
+        return [float(cell) for cell in (("%.12g\n" * obj.size) % tuple(obj.tolist())).split()]
     if isinstance(obj, dict):
         return {k: _round_tree(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -262,15 +270,19 @@ def band_to_csv(band: SolutionBand) -> str:
     header = "t"
     for alpha in band.alphas:
         header += f",lower_{_fmt(alpha)},upper_{_fmt(alpha)}"
-    lines = [header]
     nodes = band.grid.nodes()
-    for i in range(band.grid.num_points):
-        cells = [_fmt(float(nodes[i]))]
-        for k in range(len(band.alphas)):
-            cells.append(_fmt(float(band.lower[k, i])))
-            cells.append(_fmt(float(band.upper[k, i])))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    width = 1 + 2 * len(band.alphas)
+    row_fmt = ",".join(["%.12g"] * width) + "\n"
+    block = np.empty((min(CSV_BLOCK_ROWS, band.grid.num_points), width))
+    parts = [header + "\n"]
+    for start in range(0, band.grid.num_points, CSV_BLOCK_ROWS):
+        stop = min(start + CSV_BLOCK_ROWS, band.grid.num_points)
+        rows = block[:stop - start]
+        rows[:, 0] = nodes[start:stop]
+        rows[:, 1::2] = band.lower[:, start:stop].T
+        rows[:, 2::2] = band.upper[:, start:stop].T
+        parts.append((row_fmt * len(rows)) % tuple(rows.ravel().tolist()))
+    return "".join(parts)
 
 
 def band_to_json(band: SolutionBand) -> str:
@@ -278,9 +290,9 @@ def band_to_json(band: SolutionBand) -> str:
         "grid": {"t0": band.grid.t0, "t_end": band.grid.t_end,
                  "num_points": band.grid.num_points},
         "alphas": list(band.alphas),
-        "t": list(band.grid.nodes()),
+        "t": band.grid.nodes(),
         "levels": [
-            {"alpha": alpha, "lower": list(band.lower[k]), "upper": list(band.upper[k])}
+            {"alpha": alpha, "lower": band.lower[k], "upper": band.upper[k]}
             for k, alpha in enumerate(band.alphas)
         ],
     }

@@ -14,6 +14,7 @@ Only the expression evaluator is shared with the main solve path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,6 +154,12 @@ def envelope(problem: FuzzyBVP, alpha: float, samples_per_axis: int,
 
     left_cut = by_point["left"].alpha_cut(alpha)
     right_cut = by_point["right"].alpha_cut(alpha)
+    for cut in (left_cut, right_cut):
+        # Python floats: the width overflows to inf without a numpy warning.
+        if not math.isfinite(float(cut.hi) - float(cut.lo)):
+            raise SingularDiscretizationError(
+                f"alpha cut [{cut.lo}, {cut.hi}] is wider than the float range, "
+                "so its samples would be non-finite values")
     left_samples = np.linspace(left_cut.lo, left_cut.hi, samples_per_axis)
     right_samples = np.linspace(right_cut.lo, right_cut.hi, samples_per_axis)
 
@@ -184,16 +191,17 @@ class EnvelopeReport:
         return float(max(self.lower_deviation.max(), self.upper_deviation.max()))
 
     def to_dict(self) -> dict:
+        """Report fields; the per-node series are 1-D numpy arrays."""
         return {
             "alpha": self.alpha,
             "max_deviation": self.max_deviation,
-            "t": list(self.nodes),
-            "formula_lower": list(self.formula_lower),
-            "formula_upper": list(self.formula_upper),
-            "oracle_lower": list(self.oracle_lower),
-            "oracle_upper": list(self.oracle_upper),
-            "lower_deviation": list(self.lower_deviation),
-            "upper_deviation": list(self.upper_deviation),
+            "t": self.nodes,
+            "formula_lower": self.formula_lower,
+            "formula_upper": self.formula_upper,
+            "oracle_lower": self.oracle_lower,
+            "oracle_upper": self.oracle_upper,
+            "lower_deviation": self.lower_deviation,
+            "upper_deviation": self.upper_deviation,
         }
 
 

@@ -6,6 +6,7 @@ against them.
 """
 
 import functools
+import json
 import math
 
 import numpy as np
@@ -127,3 +128,51 @@ def envelope_scalar(problem, alpha, samples_per_axis, mesh):
             np.minimum(lower, x, out=lower)
             np.maximum(upper, x, out=upper)
     return lower, upper
+
+
+# --- Per-cell output formatting reference ---------------------------------
+# One f"{x:.12g}" per number, as the CLI wrote its output before it
+# formatted in blocks.  The block formatters must produce the same bytes.
+
+
+def fmt12(x):
+    return f"{x:.12g}"
+
+
+def round_tree(obj):
+    if isinstance(obj, float):
+        return float(fmt12(obj))
+    if isinstance(obj, dict):
+        return {k: round_tree(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [round_tree(v) for v in obj]
+    return obj
+
+
+def band_to_csv(band):
+    header = "t"
+    for alpha in band.alphas:
+        header += f",lower_{fmt12(alpha)},upper_{fmt12(alpha)}"
+    lines = [header]
+    nodes = band.grid.nodes()
+    for i in range(band.grid.num_points):
+        cells = [fmt12(float(nodes[i]))]
+        for k in range(len(band.alphas)):
+            cells.append(fmt12(float(band.lower[k, i])))
+            cells.append(fmt12(float(band.upper[k, i])))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def band_to_json(band):
+    doc = {
+        "grid": {"t0": band.grid.t0, "t_end": band.grid.t_end,
+                 "num_points": band.grid.num_points},
+        "alphas": list(band.alphas),
+        "t": list(band.grid.nodes()),
+        "levels": [
+            {"alpha": alpha, "lower": list(band.lower[k]), "upper": list(band.upper[k])}
+            for k, alpha in enumerate(band.alphas)
+        ],
+    }
+    return json.dumps(round_tree(doc), indent=2) + "\n"

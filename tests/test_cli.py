@@ -1,17 +1,29 @@
 import json
+import struct
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import reference
 from fuzzybvp.cli import (
+    CSV_BLOCK_ROWS,
     EXAMPLE_PROBLEMS,
     ProblemFormatError,
+    _round_tree,
     band_to_csv,
+    band_to_json,
     example_problem_document,
     load_problem,
     main,
     problem_from_document,
 )
 from fuzzybvp.fuzzy import TriangularFuzzyNumber
+from fuzzybvp.ode import TimeGrid
+from fuzzybvp.oracle import FDMesh, compare, envelope
+from fuzzybvp.solver import SolutionBand, solve_fuzzy_bvp
 
 
 def run_cli(argv):
@@ -257,6 +269,18 @@ class TestVerifyCommand:
         assert "tolerance must be finite and >= 0" in err
         assert "verification failed" not in err
 
+    def test_cut_wider_than_float_range_exits_1_without_warning(self, tmp_path, capsys):
+        doc = example_problem_document(1)
+        doc["conditions"][0]["value"] = {"type": "triangular", "l": -1e308, "m": 0, "r": 1e308}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["verify", str(path), "--mesh", "9"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: alpha cut") and "non-finite" in err
+        assert err.count("\n") == 1 and "Warning" not in err
+
     def test_higher_order_rejected(self, tmp_path, capsys):
         doc = {
             "equation": {"order": 3, "coeffs": ["0", "0", "0"], "forcing": "0"},
@@ -286,3 +310,84 @@ class TestCsvFormatting:
         out = capsys.readouterr().out
         assert "Exit codes" in out
         assert "UnitPropertyError" in out
+
+
+SPECIAL_CELLS = (
+    -0.0, 0.0, 5e-324, -5e-324, 1e300, -1e-300, 1.7976931348623157e308,
+    123456789012.5, 123456789013.5, 9.9999999999995, 0.30000000000000004, 1 / 3,
+    float("nan"), float("inf"), float("-inf"),
+)
+
+
+def special_band(rows, seed=0):
+    """Band on ``rows`` nodes: random magnitudes from 1e-320 to 1e300, with
+    every special cell at the start and at the end of the level data."""
+    alphas = (0.0, 0.25, 0.5, 1.0)
+    rng = np.random.default_rng(seed + rows)
+    size = 2 * len(alphas) * rows
+    cells = rng.standard_normal(size) * 10.0 ** rng.integers(-320, 300, size)
+    count = min(len(SPECIAL_CELLS), len(cells))
+    cells[:count] = SPECIAL_CELLS[:count]
+    cells[len(cells) - count:] = SPECIAL_CELLS[-count:]
+    lower, upper = cells.reshape(2, len(alphas), rows)
+    return SolutionBand(TimeGrid(-1.5, 2.5e3, rows), alphas, lower.copy(), upper.copy())
+
+
+def assert_same_text(text, expected):
+    """Exact equality; a failure names the first differing line instead of
+    diffing megabytes of output."""
+    if text != expected:
+        got, want = text.splitlines(True), expected.splitlines(True)
+        i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                 min(len(got), len(want)))
+        pytest.fail(f"first difference at line {i}: got {got[i:i + 1]!r}, "
+                    f"expected {want[i:i + 1]!r} ({len(got)} vs {len(want)} lines)")
+
+
+BLOCK_EDGE_ROWS = (2, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
+                   2 * CSV_BLOCK_ROWS + 3)
+
+
+class TestByteIdentity:
+    """Block formatting writes the same bytes as one f"{x:.12g}" per number."""
+
+    @pytest.mark.parametrize("rows", BLOCK_EDGE_ROWS)
+    def test_csv_matches_per_cell_reference(self, rows):
+        band = special_band(rows)
+        text = band_to_csv(band)
+        assert_same_text(text, reference.band_to_csv(band))
+        assert text.count("\n") == rows + 1
+
+    @pytest.mark.parametrize("rows", BLOCK_EDGE_ROWS)
+    def test_json_matches_per_value_reference(self, rows):
+        band = special_band(rows)
+        assert_same_text(band_to_json(band), reference.band_to_json(band))
+
+    def test_round_tree_matches_per_value_reference(self):
+        values = np.array(SPECIAL_CELLS)
+        tree = {"x": 2 / 3, "series": values, "nested": [values[::-1], {"empty": values[:0]}]}
+        listed = {"x": 2 / 3, "series": list(values),
+                  "nested": [list(values[::-1]), {"empty": []}]}
+        assert_same_text(json.dumps(_round_tree(tree), indent=2),
+                         json.dumps(reference.round_tree(listed), indent=2))
+
+    def test_verify_report_matches_per_value_reference(self, tmp_path):
+        path = write_example(tmp_path, 2)
+        out = tmp_path / "report.json"
+        assert run_cli(["verify", path, "--alpha", "0.6", "--samples", "3", "--mesh", "199",
+                        "--tolerance", "1e-3", "--out", str(out)]) == 0
+        problem = load_problem(path)
+        band = solve_fuzzy_bvp(problem).band([0.6], grid=TimeGrid(0.0, 2.0, 201))
+        report = compare(band, envelope(problem, 0.6, 3, FDMesh(0.0, 2.0, 199)))
+        doc = {"problem": path, "mesh_interior_points": 199, "samples_per_axis": 3,
+               "tolerance": 1e-3, "passed": True,
+               **{k: list(v) if isinstance(v, np.ndarray) else v
+                  for k, v in report.to_dict().items()}}
+        expected = json.dumps(reference.round_tree(doc), indent=2) + "\n"
+        assert_same_text(out.read_text(encoding="utf-8"), expected)
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1))
+def test_percent_format_matches_f_string_for_every_float64(bits):
+    x = struct.unpack("<d", struct.pack("<Q", bits))[0]
+    assert "%.12g" % x == f"{x:.12g}" == f"{np.float64(x):.12g}"

@@ -139,6 +139,15 @@ class TestEnvelope:
             with pytest.raises(SingularDiscretizationError, match="non-finite"):
                 envelope(problem, 0.0, 3, FDMesh(0.0, 1.0, 9))
 
+    def test_cut_wider_than_float_range_raises_without_warnings(self):
+        conds = ((0.0, TriangularFuzzyNumber(-1e308, 0.0, 1e308)),
+                 (1.0, TriangularFuzzyNumber(0, 1, 2)))
+        problem = FuzzyBVP(EX1_ODE, conds, TimeGrid(0.0, 1.0, 101))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularDiscretizationError, match="non-finite"):
+                envelope(problem, 0.0, 3, FDMesh(0.0, 1.0, 9))
+
     def test_sample_count_validated(self, example1, mesh1):
         with pytest.raises(ValueError, match="2 samples"):
             envelope(example1, 0.0, 1, mesh1)
