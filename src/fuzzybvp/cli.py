@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import ExpressionError, parse
-from .fuzzy import fuzzy_from_json
+from .fuzzy import _is_number, fuzzy_from_json
 from .ode import (
     DEFAULT_STEPS,
     IntegrationError,
@@ -83,10 +83,6 @@ class ProblemFormatError(ValueError):
 class OutputOptions:
     points: int = DEFAULT_OUTPUT_POINTS
     alphas: tuple[float, ...] = DEFAULT_OUTPUT_ALPHAS
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def problem_from_document(doc) -> tuple[FuzzyBVP, OutputOptions]:

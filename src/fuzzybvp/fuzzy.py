@@ -9,6 +9,7 @@ rejected at construction.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -325,21 +326,29 @@ def fuzzy_to_json(u: FuzzyNumber) -> dict:
     raise TypeError(f"not a fuzzy number: {type(u).__name__}")
 
 
+def _is_number(x) -> bool:
+    """Whether x is a JSON number that fits a float (bool excluded)."""
+    return isinstance(x, float) or (isinstance(x, int) and not isinstance(x, bool)
+                                    and abs(x) <= sys.float_info.max)
+
+
 def fuzzy_from_json(obj) -> FuzzyNumber:
-    """Decode the JSON encoding produced by fuzzy_to_json."""
+    """Decode the JSON encoding produced by fuzzy_to_json.  A field holding
+    anything but a JSON number (a list of them for a parametric number) is a
+    ValueError naming the field."""
     if not isinstance(obj, dict):
         raise ValueError("fuzzy number must be a JSON object")
     kind = obj.get("type")
-    if kind == "triangular":
-        missing = [k for k in ("l", "m", "r") if k not in obj]
-        if missing:
-            raise ValueError(f"triangular fuzzy number missing fields: {', '.join(missing)}")
-        return TriangularFuzzyNumber(float(obj["l"]), float(obj["m"]), float(obj["r"]))
-    if kind == "parametric":
-        missing = [k for k in ("alphas", "lower", "upper") if k not in obj]
-        if missing:
-            raise ValueError(f"parametric fuzzy number missing fields: {', '.join(missing)}")
-        return ParametricFuzzyNumber(np.asarray(obj["alphas"], dtype=float),
-                                     np.asarray(obj["lower"], dtype=float),
-                                     np.asarray(obj["upper"], dtype=float))
-    raise ValueError(f"unknown fuzzy number type: {kind!r}")
+    if kind not in ("triangular", "parametric"):
+        raise ValueError(f"unknown fuzzy number type: {kind!r}")
+    triangular = kind == "triangular"
+    fields = ("l", "m", "r") if triangular else ("alphas", "lower", "upper")
+    missing = [k for k in fields if k not in obj]
+    if missing:
+        raise ValueError(f"{kind} fuzzy number missing fields: {', '.join(missing)}")
+    for k in fields:
+        if triangular and not _is_number(obj[k]):
+            raise ValueError(f"field {k} must be a number")
+        if not triangular and not (isinstance(obj[k], list) and all(map(_is_number, obj[k]))):
+            raise ValueError(f"field {k} must be a list of numbers")
+    return (TriangularFuzzyNumber if triangular else ParametricFuzzyNumber)(*map(obj.get, fields))

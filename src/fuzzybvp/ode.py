@@ -5,12 +5,12 @@ A linear ODE of order n,
     x^(n) + a_1(t) x^(n-1) + ... + a_n(t) x = f(t),
 
 is integrated as a first-order companion system with classical fixed-step
-RK4, applied as a prefix product of per-step affine maps.  A fundamental
-basis is generated from canonical initial states; the boundary matrix
-collects basis values at the boundary points, and the weight functions are
-the basis combined with the inverse boundary matrix (by a linear solve).
-The value of any solution at time t is then the weight vector at t applied
-to the boundary values, which is what the fuzzy layer builds on.
+RK4, applied as a prefix product of per-step affine maps.  One scan from
+the augmented identity gives a fundamental basis (canonical initial states)
+and a particular solution (zero initial state) together.  The weight
+functions are the basis combined with the inverse boundary matrix (by a
+linear solve), and the crisp solution is the particular one plus the basis
+combination that meets the boundary values: what the fuzzy layer builds on.
 """
 
 from __future__ import annotations
@@ -145,10 +145,6 @@ class Trajectory:
         object.__setattr__(self, "slopes", slopes)
 
     @property
-    def order(self) -> int:
-        return self.states.shape[1]
-
-    @property
     def values(self) -> np.ndarray:
         return self.states[:, 0]
 
@@ -182,14 +178,15 @@ def _scan_step_maps(rows: np.ndarray, h: float, initial: np.ndarray) -> np.ndarr
     + K4) with K1 = C(t_j), K2 = C(t_j + h/2)(I + h/2 K1),
     K3 = C(t_j + h/2)(I + h/2 K2) and K4 = C(t_j + h)(I + h K3), so the
     state at node j is the prefix product M_{j-1} ... M_0 applied to
-    ``initial`` (shape (n+1, c), last row 1 where forcing applies).
+    ``initial`` (shape (n+1, c); its last row scales the forcing).
 
     The steps are cut into blocks of about sqrt(steps / 16) steps.  Maps
     are built and multiplied up one in-block position at a time,
     vectorized across blocks; a short sequential pass then carries the
-    state from block to block, and one batched product gives every node.  Only the value rows of the in-block products are kept, so the
-    memory held is a small multiple of the output.  Returns the first n
-    state components, shape (steps + 1, n, c).
+    state from block to block, and one batched product gives every node.
+    Only the value rows of the in-block products are kept, so the memory
+    held is a small multiple of the output.  Returns the first n state
+    components, shape (steps + 1, n, c).
     """
     steps = (len(rows) - 1) // 2
     m = rows.shape[1]
@@ -225,17 +222,16 @@ def _scan_step_maps(rows: np.ndarray, h: float, initial: np.ndarray) -> np.ndarr
 
 
 def _propagate(ode: LinearODE, grid: TimeGrid, initial: np.ndarray):
-    """Integrate the companion system from each column of ``initial`` (n, c).
+    """Integrate from each column of ``initial`` (n+1, c): state, forcing scale.
 
     Returns node states (N, n, c) and value-channel slopes (N, c); raises
     IntegrationError at the first node whose state is not finite.
     """
     n = ode.order
     rows = _companion_rows(ode, grid)
-    augmented = np.vstack([initial, np.ones((1, initial.shape[1]))])
     # overflow is detected via the finiteness check, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        states = _scan_step_maps(rows, grid.step, augmented)
+        states = _scan_step_maps(rows, grid.step, initial)
     finite = np.isfinite(states).all(axis=(1, 2))
     if not finite.all():
         node = int(np.argmin(finite))
@@ -243,8 +239,8 @@ def _propagate(ode: LinearODE, grid: TimeGrid, initial: np.ndarray):
                                f"(t = {grid.t0 + node * grid.step:g})")
     if n >= 2:
         slopes = states[:, 1]
-    else:  # x' = -a_1 x + f; the augmented component stays exactly 1
-        slopes = rows[::2, :1] * states[:, 0] + rows[::2, 1:]
+    else:  # x' = -a_1 x + z f, where the augmented component z stays constant
+        slopes = rows[::2, :1] * states[:, 0] + rows[::2, 1:] * initial[n]
     return states, slopes
 
 
@@ -259,7 +255,7 @@ def integrate_ivp(ode: LinearODE, initial_state, grid: TimeGrid) -> Trajectory:
     state = np.array(initial_state, dtype=float)
     if state.shape != (n,):
         raise ValueError(f"initial state must have {n} components, got shape {state.shape}")
-    states, slopes = _propagate(ode, grid, state[:, None])
+    states, slopes = _propagate(ode, grid, np.append(state, 1.0)[:, None])
     return Trajectory(grid, states[:, :, 0], slopes[:, 0])
 
 
@@ -269,16 +265,12 @@ def homogeneous_basis(ode: LinearODE, grid: TimeGrid) -> tuple[Trajectory, ...]:
     The state matrix at t0 is the identity, so the set is linearly
     independent (unit Wronskian at t0).  All n columns share one scan.
     """
-    states, slopes = _propagate(ode.homogeneous(), grid, np.eye(ode.order))
+    states, slopes = _propagate(ode, grid, np.eye(ode.order + 1, ode.order))
     return tuple(Trajectory(grid, states[:, :, i], slopes[:, i]) for i in range(ode.order))
 
 
 def boundary_matrix(basis: Sequence[Trajectory], points: Sequence[float]) -> np.ndarray:
     """Matrix with entry [j, i] = value of basis solution i at boundary point j."""
-    grid = basis[0].grid
-    for p in points:
-        if not grid.contains(p):
-            raise ValueError(f"boundary point {p} outside [{grid.t0}, {grid.t_end}]")
     points = np.array(points, dtype=float)
     return np.column_stack([traj.value(points) for traj in basis])
 
@@ -371,19 +363,33 @@ def combine(particular: Trajectory, basis: Sequence[Trajectory],
     return Trajectory(particular.grid, states, slopes)
 
 
+def _basis_and_crisp(ode: LinearODE, grid: TimeGrid, points: Sequence[float],
+                     values: np.ndarray) -> tuple[tuple[Trajectory, ...], Trajectory]:
+    """Basis and crisp solution from one scan of the augmented identity.
+
+    Columns 0..n-1 start from e_1, ..., e_n with forcing scale 0 (the
+    basis), column n from the zero state with scale 1 (a particular
+    solution), which is corrected by the basis combination that meets
+    ``values`` at ``points``.  Raises NonUniqueCrispSolution for a singular
+    boundary matrix.
+    """
+    n = ode.order
+    states, slopes = _propagate(ode, grid, np.eye(n + 1))
+    at_points = _hermite(grid, states[:, 0], slopes, np.array(points, dtype=float))
+    require_invertible(at_points[:, :n])
+    coefficients = np.linalg.solve(at_points[:, :n], values - at_points[:, n])
+    crisp = Trajectory(grid, states[:, :, n] + states[:, :, :n] @ coefficients,
+                       slopes[:, n] + slopes[:, :n] @ coefficients)
+    return tuple(Trajectory(grid, states[:, :, i], slopes[:, i]) for i in range(n)), crisp
+
+
 def solve_crisp_bvp(ode: LinearODE, boundary, grid: TimeGrid) -> Trajectory:
     """Solve the non-homogeneous problem with n point-value conditions.
 
     ``boundary`` is a sequence of (point, value) pairs; the points must be
-    distinct and inside the grid interval.  A particular solution is
-    integrated from a zero initial state and corrected by the basis
-    combination that matches the boundary values.
+    distinct and inside the grid interval.  One scan gives the basis and a
+    particular solution from a zero initial state, which is corrected by
+    the basis combination that matches the boundary values.
     """
     points, values = _validate_boundary(ode.order, boundary)
-    basis = homogeneous_basis(ode, grid)
-    particular = integrate_ivp(ode, np.zeros(ode.order), grid)
-    mat = boundary_matrix(basis, points)
-    require_invertible(mat)
-    residual = values - particular.value(np.array(points))
-    coefficients = np.linalg.solve(mat, residual)
-    return combine(particular, basis, coefficients)
+    return _basis_and_crisp(ode, grid, points, values)[1]

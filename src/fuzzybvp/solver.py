@@ -4,9 +4,9 @@ The solve pipeline:
 
 1. split every fuzzy boundary value into its vertex plus a vertex-at-zero
    uncertain part,
-2. build the weight functions of the homogeneous equation at the boundary
-   points,
-3. solve the crisp non-homogeneous problem with the vertex values,
+2. run one RK4 scan that gives the homogeneous basis and a particular
+   solution together, and solve the crisp problem with the vertex values,
+3. build the weight functions at the boundary points from that basis,
 4. keep the parts; the solution value at (t, alpha) is the crisp value
    plus the interval sum of weight-scaled alpha-cuts of the uncertain
    parts.
@@ -25,16 +25,9 @@ import numpy as np
 
 from . import fuzzy
 from .fuzzy import FuzzyNumber, Interval, _check_alpha
-from .ode import (
-    LinearODE,
-    TimeGrid,
-    Trajectory,
-    WeightBasis,
-    combine,
-    homogeneous_basis,
-    integrate_ivp,
-    weight_functions,
-)
+from .ode import LinearODE, TimeGrid, Trajectory, WeightBasis, _basis_and_crisp, weight_functions
+# Unused here; bound for the benchmark tracer until ROADMAP item 6 re-points it.
+from .ode import combine, homogeneous_basis, integrate_ivp  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -200,13 +193,9 @@ def assemble(crisp: Trajectory, weight_basis: WeightBasis,
 
 
 def solve_fuzzy_bvp(problem: FuzzyBVP) -> FuzzySolution:
-    """Full pipeline: decompose, weight functions, crisp solve, assemble."""
+    """Full pipeline: decompose, one scan for basis and crisp, weights, assemble."""
     crisp_values, uncertain_parts = decompose(problem)
     points = problem.boundary_points
-    basis = homogeneous_basis(problem.ode, problem.grid)
+    basis, crisp = _basis_and_crisp(problem.ode, problem.grid, points, np.array(crisp_values))
     wb = weight_functions(basis, points)
-    particular = integrate_ivp(problem.ode, np.zeros(problem.ode.order), problem.grid)
-    residual = np.array(crisp_values) - particular.value(np.array(points))
-    coefficients = np.linalg.solve(wb.matrix, residual)
-    crisp = combine(particular, basis, coefficients)
     return assemble(crisp, wb, uncertain_parts, crisp_values)

@@ -230,6 +230,42 @@ class TestSolveCommand:
         path = write_example(tmp_path, 1)
         assert run_cli(["solve", path, "--alphas", "0,banana"]) == 1
 
+    @pytest.mark.parametrize("value, message", [
+        ({"type": "triangular", "l": None, "m": 2, "r": 3}, "field l must be a number"),
+        ({"type": "triangular", "l": [1], "m": 2, "r": 3}, "field l must be a number"),
+        ({"type": "triangular", "l": True, "m": 2, "r": 3}, "field l must be a number"),
+        ({"type": "triangular", "l": 1.5, "m": 2, "r": 10**400}, "field r must be a number"),
+        ({"type": "parametric", "alphas": {"a": 1}, "lower": [1.5, 2], "upper": [3, 2]},
+         "field alphas must be a list of numbers"),
+        ({"type": "parametric", "alphas": [0, 1], "lower": [None, 2], "upper": [3, 2]},
+         "field lower must be a list of numbers"),
+    ])
+    def test_non_number_condition_value_exits_1_naming_it(self, tmp_path, capsys,
+                                                           value, message):
+        doc = example_problem_document(1)
+        doc["conditions"][0]["value"] = value
+        path = tmp_path / "bad-value.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"conditions[0].value: {message}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("where", ["t", "T"])
+    def test_number_too_large_for_a_float_exits_1(self, tmp_path, capsys, where):
+        doc = example_problem_document(1)
+        if where == "t":
+            doc["conditions"][0]["t"] = 10**400
+        else:
+            doc["interval"]["T"] = 10**400
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        label = "conditions[0].t" if where == "t" else "interval.T"
+        assert f"{label}: must be a number" in err
+        assert "Traceback" not in err
+
 
 class TestVerifyCommand:
     def test_example1_passes(self, tmp_path, capsys):

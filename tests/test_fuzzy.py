@@ -250,6 +250,31 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match="missing fields"):
             fuzzy_from_json({"type": "triangular", "l": 1, "m": 2})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("l", None, "field l must be a number"),
+        ("l", [1], "field l must be a number"),
+        ("m", True, "field m must be a number"),
+        ("r", "4", "field r must be a number"),
+        pytest.param("r", 10**400, "field r must be a number", id="r-beyond-float-range"),
+        ("alphas", {"a": 1}, "field alphas must be a list of numbers"),
+        ("alphas", [[0], [1]], "field alphas must be a list of numbers"),
+        ("lower", [1.5, True], "field lower must be a list of numbers"),
+        ("upper", [3, None], "field upper must be a list of numbers"),
+        ("upper", "3, 2", "field upper must be a list of numbers"),
+    ])
+    def test_non_number_field_rejected_with_its_name(self, field, value, message):
+        if field in ("l", "m", "r"):
+            obj = {"type": "triangular", "l": 1, "m": 2, "r": 4}
+        else:
+            obj = {"type": "parametric", "alphas": [0, 1], "lower": [1, 2], "upper": [3, 2]}
+        obj[field] = value
+        with pytest.raises(ValueError, match=message):
+            fuzzy_from_json(obj)
+
+    def test_unhashable_type_rejected(self):
+        with pytest.raises(ValueError, match="unknown fuzzy number type"):
+            fuzzy_from_json({"type": ["triangular"], "l": 1, "m": 2, "r": 3})
+
 
 # --- properties ----------------------------------------------------------
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import reference
+from fuzzybvp import ode as ode_module
+from fuzzybvp.fuzzy import TriangularFuzzyNumber
 from fuzzybvp.ode import (
     KRONECKER_TOL,
     IntegrationError,
@@ -12,12 +14,14 @@ from fuzzybvp.ode import (
     TimeGrid,
     Trajectory,
     UnitPropertyError,
+    _propagate,
     boundary_matrix,
     homogeneous_basis,
     integrate_ivp,
     solve_crisp_bvp,
     weight_functions,
 )
+from fuzzybvp.solver import FuzzyBVP, solve_fuzzy_bvp
 
 EX1_ODE = LinearODE.from_strings(2, ["-3", "2"], "4*t - 6")
 EX2_ODE = LinearODE.from_strings(2, ["0", "16"], "47 - 8*t^2")
@@ -118,6 +122,85 @@ class TestIntegrateIvp:
         for i, traj in enumerate(basis):
             expected = rk4_loop(ode.homogeneous(), np.eye(order)[i], grid)
             assert np.max(np.abs(traj.states - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+
+class TestFusedScan:
+    """One scan of the augmented identity: columns 0..n-1 are the basis,
+    column n the particular solution from a zero state."""
+
+    @pytest.mark.parametrize("num_points", [201, 65, 9])
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    def test_columns_match_plain_rk4_loops(self, order, num_points):
+        ode = VARIABLE_ODES[order]
+        grid = TimeGrid(0.0, 2.0, num_points)
+        states, slopes = _propagate(ode, grid, np.eye(order + 1))
+        assert states.shape == (num_points, order, order + 1)
+        expected = [rk4_loop(ode.homogeneous(), np.eye(order)[i], grid) for i in range(order)]
+        expected.append(rk4_loop(ode, np.zeros(order), grid))
+        nodes = grid.nodes()
+        for i, exp in enumerate(expected):
+            scale = np.max(np.abs(exp))
+            assert np.max(np.abs(states[:, :, i] - exp)) <= 1e-10 * scale
+            if order == 1:  # x' = -a_1(t) x + f(t) on the particular column only
+                forced = np.array([ode.forcing.evaluate(t) for t in nodes]) * (i == order)
+                slope = forced - np.array([ode.coeffs[0].evaluate(t) for t in nodes]) * exp[:, 0]
+            else:
+                slope = exp[:, 1]
+            assert np.max(np.abs(slopes[:, i] - slope)) <= 1e-10 * max(scale, 1.0)
+
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    def test_basis_columns_ignore_the_forcing_bit_for_bit(self, order):
+        ode = VARIABLE_ODES[order]
+        grid = TimeGrid(0.0, 2.0, 201)
+        fused_states, fused_slopes = _propagate(ode, grid, np.eye(order + 1))
+        free_states, free_slopes = _propagate(ode.homogeneous(), grid, np.eye(order + 1, order))
+        assert np.array_equal(fused_states[:, :, :order], free_states)
+        assert np.array_equal(fused_slopes[:, :order], free_slopes)
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "order4", "stiff-k18"])
+    def test_solve_weights_equal_the_separate_basis_weights(self, name):
+        ode, t_end, points = {
+            "example1": (EX1_ODE, 1.0, (0.0, 1.0)),
+            "example2": (EX2_ODE, 2.0, (0.0, 2.0)),
+            "order4": (VARIABLE_ODES[4], 2.0, (0.0, 0.5, 1.5, 2.0)),
+            "stiff-k18": (LinearODE.from_strings(2, ["0", "-324"], "0"), 1.0, (0.0, 1.0)),
+        }[name]
+        grid = TimeGrid(0.0, t_end, 1001)
+        conds = tuple((p, TriangularFuzzyNumber(0.5 + i, 1.0 + i, 1.5 + i))
+                      for i, p in enumerate(points))
+        solution = solve_fuzzy_bvp(FuzzyBVP(ode, conds, grid))
+        separate = weight_functions(homogeneous_basis(ode, grid), points)
+        assert np.array_equal(solution.weight_basis.weights, separate.weights)
+        assert np.array_equal(solution.weight_basis.weight_slopes, separate.weight_slopes)
+        # the crisp trajectory agrees with a particular solution integrated
+        # on its own and corrected by the same basis combination, to rounding
+        # (amplified by the boundary matrix's condition ~1e6 for k = 18)
+        particular = integrate_ivp(ode, np.zeros(ode.order), grid)
+        residual = np.array([1.0 + i for i in range(len(points))]) - particular.value(points)
+        coefficients = np.linalg.solve(separate.matrix, residual)
+        states = particular.states + sum(c * b.states for c, b in zip(coefficients, separate.basis))
+        slopes = particular.slopes + sum(c * b.slopes for c, b in zip(coefficients, separate.basis))
+        scale = np.max(np.abs(states))
+        tol = 2e-9 if name == "stiff-k18" else 1e-13
+        assert np.max(np.abs(solution.crisp.states - states)) <= tol * scale
+        assert np.max(np.abs(solution.crisp.slopes - slopes)) <= tol * scale
+
+    def test_one_scan_per_solve(self, monkeypatch):
+        calls = []
+        scan = ode_module._scan_step_maps
+
+        def counting(*args):
+            calls.append(1)
+            return scan(*args)
+
+        monkeypatch.setattr(ode_module, "_scan_step_maps", counting)
+        grid = TimeGrid(0.0, 1.0, 101)
+        conds = ((0.0, TriangularFuzzyNumber(1.5, 2.0, 3.0)),
+                 (1.0, TriangularFuzzyNumber(2.0, 3.0, 4.0)))
+        solve_fuzzy_bvp(FuzzyBVP(EX1_ODE, conds, grid))
+        assert len(calls) == 1
+        solve_crisp_bvp(EX1_ODE, [(0.0, 2.0), (1.0, 3.0)], grid)
+        assert len(calls) == 2
 
 
 class TestHomogeneousBasis:
