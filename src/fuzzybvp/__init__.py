@@ -12,8 +12,6 @@ from .fuzzy import (
     ParametricFuzzyNumber,
     TriangularFuzzyNumber,
     add,
-    alpha_cut,
-    membership,
     scale,
     split_crisp,
 )
@@ -32,7 +30,7 @@ from .ode import (
     weight_functions,
 )
 from .oracle import FDMesh, OracleEnvelope, SingularDiscretizationError, compare, envelope, fd_solve
-from .solver import FuzzyBVP, FuzzySolution, SolutionBand, assemble, decompose, solve_fuzzy_bvp
+from .solver import FuzzyBVP, FuzzySolution, SolutionBand, solve_fuzzy_bvp
 
 __version__ = "0.1.0"
 
@@ -45,8 +43,6 @@ __all__ = [
     "ParametricFuzzyNumber",
     "TriangularFuzzyNumber",
     "add",
-    "alpha_cut",
-    "membership",
     "scale",
     "split_crisp",
     "IntegrationError",
@@ -70,7 +66,5 @@ __all__ = [
     "FuzzyBVP",
     "FuzzySolution",
     "SolutionBand",
-    "assemble",
-    "decompose",
     "solve_fuzzy_bvp",
 ]

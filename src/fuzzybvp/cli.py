@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -156,6 +157,8 @@ def problem_from_document(doc) -> tuple[FuzzyBVP, OutputOptions]:
             t_end = float(interval["T"])
         if t0 is not None and t_end is not None and not t_end > t0:
             fail("interval", f"need T > t0, got [{t0}, {t_end}]")
+        elif t0 is not None and t_end is not None and not math.isfinite(t_end - t0):
+            fail("interval", f"length T - t0 must be finite, got [{t0}, {t_end}]")
 
     parsed_conditions = []
     conditions = doc.get("conditions")
@@ -235,23 +238,13 @@ def _read_document(path: str) -> dict:
         raise ProblemFormatError([f"$: not valid JSON ({exc})"]) from None
 
 
-def load_problem(path: str) -> FuzzyBVP:
-    """Read, validate and build the problem described by a JSON file."""
-    problem, _ = problem_from_document(_read_document(path))
-    return problem
-
-
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _round12(x: float) -> float:
-    return float(_fmt(x))
-
-
 def _round_tree(obj):
     if isinstance(obj, float):
-        return _round12(obj)
+        return float(_fmt(obj))
     if isinstance(obj, np.ndarray):
         # One "%" for the whole array; "%.12g" and f"{x:.12g}" give the same bytes.
         return [float(cell) for cell in (("%.12g\n" * obj.size) % tuple(obj.tolist())).split()]

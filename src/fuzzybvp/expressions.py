@@ -73,9 +73,6 @@ class Expression:
     def to_text(self) -> str:
         raise NotImplementedError
 
-    def __call__(self, t):
-        return self.evaluate(t)
-
 
 @dataclass(frozen=True)
 class Number(Expression):
@@ -262,7 +259,11 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return Number(float(tok.text))
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ExpressionSyntaxError(f"number {tok.text} is too large for a float",
+                                            tok.position)
+            return Number(value)
         if tok.kind == "name":
             self.advance()
             if tok.text == "t":
@@ -292,10 +293,6 @@ def parse(text: str) -> Expression:
     if tail.kind != "end":
         raise ExpressionSyntaxError(f"unexpected trailing input {tail.text!r}", tail.position)
     return node
-
-
-def evaluate(expr: Expression, t):
-    return expr.evaluate(t)
 
 
 ZERO = Number(0.0)

@@ -34,13 +34,6 @@ class Interval:
         if self.lo > self.hi:
             raise ValueError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    def contains(self, x: float, slack: float = 0.0) -> bool:
-        return self.lo - slack <= x <= self.hi + slack
-
 
 def _checked_interval(lo: float, hi: float) -> Interval:
     # Endpoints computed from opposite branches can cross by a few ulps
@@ -81,10 +74,6 @@ class TriangularFuzzyNumber:
     def vertex(self) -> float:
         return self.peak
 
-    @property
-    def support(self) -> Interval:
-        return Interval(self.left, self.right)
-
     def alpha_cut(self, alpha: float) -> Interval:
         """Cut at level alpha: [left + alpha*(peak-left), right - alpha*(right-peak)]."""
         alpha = _check_alpha(alpha)
@@ -95,8 +84,8 @@ class TriangularFuzzyNumber:
         return _checked_interval(lo, hi)
 
     def membership(self, x: float) -> float:
-        """Largest alpha whose cut contains x; 0 outside the support."""
-        if x < self.left or x > self.right:
+        """Largest alpha whose cut contains x; 0 outside the support (and for nan)."""
+        if not self.left <= x <= self.right:
             return 0.0
         if x == self.peak:
             return 1.0
@@ -186,20 +175,9 @@ class ParametricFuzzyNumber:
         return cls(alphas, tri.left + alphas * (tri.peak - tri.left),
                    tri.right - alphas * (tri.right - tri.peak))
 
-    @classmethod
-    def from_branches(cls, lower_fn, upper_fn,
-                      num_levels: int = DEFAULT_NUM_LEVELS) -> "ParametricFuzzyNumber":
-        alphas = np.linspace(0.0, 1.0, num_levels)
-        return cls(alphas, np.array([lower_fn(a) for a in alphas]),
-                   np.array([upper_fn(a) for a in alphas]))
-
     @property
     def vertex(self) -> float:
         return 0.5 * (self.lower[-1] + self.upper[-1])
-
-    @property
-    def support(self) -> Interval:
-        return Interval(float(self.lower[0]), float(self.upper[0]))
 
     def alpha_cut(self, alpha: float) -> Interval:
         alpha = _check_alpha(alpha)
@@ -208,8 +186,9 @@ class ParametricFuzzyNumber:
         return _checked_interval(float(lo), float(hi))
 
     def membership(self, x: float) -> float:
-        """Largest alpha with lower(alpha) <= x <= upper(alpha); 0 outside the support."""
-        if x < self.lower[0] or x > self.upper[0]:
+        """Largest alpha with lower(alpha) <= x <= upper(alpha); 0 outside the
+        support (and for nan)."""
+        if not self.lower[0] <= x <= self.upper[0]:
             return 0.0
         return min(self._branch_sup(self.alphas, self.lower, x, rising=True),
                    self._branch_sup(self.alphas, self.upper, x, rising=False))
@@ -244,14 +223,6 @@ class ParametricFuzzyNumber:
 
 
 FuzzyNumber = Union[TriangularFuzzyNumber, ParametricFuzzyNumber]
-
-
-def alpha_cut(u: FuzzyNumber, alpha: float) -> Interval:
-    return u.alpha_cut(alpha)
-
-
-def membership(u: FuzzyNumber, x: float) -> float:
-    return u.membership(x)
 
 
 def scale(c: float, u: FuzzyNumber) -> FuzzyNumber:
@@ -308,24 +279,6 @@ def split_crisp(u: FuzzyNumber) -> tuple[float, FuzzyNumber]:
     raise TypeError(f"not a fuzzy number: {type(u).__name__}")
 
 
-def shift(u: FuzzyNumber, c: float) -> FuzzyNumber:
-    """Translate a fuzzy number by a crisp constant."""
-    c = float(c)
-    if isinstance(u, TriangularFuzzyNumber):
-        return TriangularFuzzyNumber(u.left + c, u.peak + c, u.right + c)
-    return ParametricFuzzyNumber(u.alphas, u.lower + c, u.upper + c)
-
-
-def fuzzy_to_json(u: FuzzyNumber) -> dict:
-    """JSON-ready encoding (see the problem-file format)."""
-    if isinstance(u, TriangularFuzzyNumber):
-        return {"type": "triangular", "l": u.left, "m": u.peak, "r": u.right}
-    if isinstance(u, ParametricFuzzyNumber):
-        return {"type": "parametric", "alphas": list(u.alphas),
-                "lower": list(u.lower), "upper": list(u.upper)}
-    raise TypeError(f"not a fuzzy number: {type(u).__name__}")
-
-
 def _is_number(x) -> bool:
     """Whether x is a JSON number that fits a float (bool excluded)."""
     return isinstance(x, float) or (isinstance(x, int) and not isinstance(x, bool)
@@ -333,9 +286,11 @@ def _is_number(x) -> bool:
 
 
 def fuzzy_from_json(obj) -> FuzzyNumber:
-    """Decode the JSON encoding produced by fuzzy_to_json.  A field holding
-    anything but a JSON number (a list of them for a parametric number) is a
-    ValueError naming the field."""
+    """Decode a fuzzy number from its problem-file encoding:
+    ``{"type": "triangular", "l": ..., "m": ..., "r": ...}`` or
+    ``{"type": "parametric", "alphas": [...], "lower": [...], "upper": [...]}``.
+    A field holding anything but a JSON number (a list of them for a
+    parametric number) is a ValueError naming the field."""
     if not isinstance(obj, dict):
         raise ValueError("fuzzy number must be a JSON object")
     kind = obj.get("type")

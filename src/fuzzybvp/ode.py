@@ -81,6 +81,8 @@ class TimeGrid:
     def __post_init__(self):
         if not self.t_end > self.t0:
             raise ValueError(f"need t_end > t0, got [{self.t0}, {self.t_end}]")
+        if not math.isfinite(self.t_end - self.t0):
+            raise ValueError(f"length t_end - t0 must be finite, got [{self.t0}, {self.t_end}]")
         if self.num_points < 2:
             raise ValueError(f"need at least 2 grid points, got {self.num_points}")
 
@@ -289,7 +291,7 @@ def require_invertible(mat: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class WeightBasis:
-    """Fundamental basis together with per-node weight functions.
+    """Per-node weight functions of a set of boundary points.
 
     ``weights[k, i]`` is the i-th weight at grid node k; the weight vector
     at t maps the boundary values to the homogeneous solution value at t,
@@ -297,15 +299,9 @@ class WeightBasis:
     """
 
     grid: TimeGrid
-    basis: tuple[Trajectory, ...]
     boundary_points: tuple[float, ...]
-    matrix: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     weight_slopes: np.ndarray = field(repr=False)
-
-    @property
-    def order(self) -> int:
-        return len(self.basis)
 
     def weight_at(self, t) -> np.ndarray:
         """Weight vector at t (cubic Hermite off the nodes); for an array
@@ -329,9 +325,9 @@ def weight_functions(basis: Sequence[Trajectory], boundary_points: Sequence[floa
     slopes = np.column_stack([traj.slopes for traj in basis])
     weights = np.linalg.solve(mat.T, values.T).T.copy()
     weight_slopes = np.linalg.solve(mat.T, slopes.T).T.copy()
-    for arr in (mat, weights, weight_slopes):
+    for arr in (weights, weight_slopes):
         arr.flags.writeable = False
-    wb = WeightBasis(basis[0].grid, basis, points, mat, weights, weight_slopes)
+    wb = WeightBasis(basis[0].grid, points, weights, weight_slopes)
     miss = np.abs(wb.weight_at(np.array(points)) - np.eye(len(points))).max(axis=1)
     for p, r in zip(points, miss):
         if r > KRONECKER_TOL:
@@ -342,9 +338,11 @@ def weight_functions(basis: Sequence[Trajectory], boundary_points: Sequence[floa
     return wb
 
 
-def _validate_boundary(order: int, boundary) -> tuple[list[float], np.ndarray]:
+def _validate_boundary(order: int, boundary) -> tuple[list[float], list]:
+    """Points (as floats) and values of n (point, value) pairs at distinct points."""
+    boundary = list(boundary)  # may be an iterator; it is read twice
     points = [float(p) for p, _ in boundary]
-    values = np.array([float(v) for _, v in boundary])
+    values = [v for _, v in boundary]
     if len(points) != order:
         raise ValueError(f"expected {order} boundary conditions, got {len(points)}")
     if len(set(points)) != len(points):
@@ -392,4 +390,4 @@ def solve_crisp_bvp(ode: LinearODE, boundary, grid: TimeGrid) -> Trajectory:
     the basis combination that matches the boundary values.
     """
     points, values = _validate_boundary(ode.order, boundary)
-    return _basis_and_crisp(ode, grid, points, values)[1]
+    return _basis_and_crisp(ode, grid, points, np.array(values, dtype=float))[1]

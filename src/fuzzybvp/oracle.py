@@ -38,6 +38,8 @@ class FDMesh:
     def __post_init__(self):
         if not self.t_end > self.t0:
             raise ValueError(f"need t_end > t0, got [{self.t0}, {self.t_end}]")
+        if not math.isfinite(self.t_end - self.t0):
+            raise ValueError(f"length t_end - t0 must be finite, got [{self.t0}, {self.t_end}]")
         if self.interior_points < 3:
             raise ValueError(f"need at least 3 interior points, got {self.interior_points}")
 

@@ -12,11 +12,11 @@ from fuzzybvp.cli import (
     CSV_BLOCK_ROWS,
     EXAMPLE_PROBLEMS,
     ProblemFormatError,
+    _read_document,
     _round_tree,
     band_to_csv,
     band_to_json,
     example_problem_document,
-    load_problem,
     main,
     problem_from_document,
 )
@@ -32,6 +32,12 @@ def run_cli(argv):
         return main(argv)
     except SystemExit as exc:
         return exc.code
+
+
+def load(path):
+    """Read, validate and build the problem in a JSON file, as the CLI does."""
+    problem, _ = problem_from_document(_read_document(path))
+    return problem
 
 
 def write_example(tmp_path, which, name="problem.json"):
@@ -62,14 +68,14 @@ STIFF_AWAY_FROM_T0 = {
 
 class TestLoadProblem:
     def test_example1_loads(self, tmp_path):
-        problem = load_problem(write_example(tmp_path, 1))
+        problem = load(write_example(tmp_path, 1))
         assert problem.ode.order == 2
         assert problem.grid.t0 == 0.0 and problem.grid.t_end == 1.0
         assert problem.conditions[0] == (0.0, TriangularFuzzyNumber(1.5, 2.0, 3.0))
         assert problem.conditions[1] == (1.0, TriangularFuzzyNumber(2.0, 3.0, 4.0))
 
     def test_example2_loads(self, tmp_path):
-        problem = load_problem(write_example(tmp_path, 2))
+        problem = load(write_example(tmp_path, 2))
         assert problem.grid.t_end == 2.0
         assert problem.conditions[1][1] == TriangularFuzzyNumber(0.5, 1.0, 1.5)
 
@@ -79,7 +85,7 @@ class TestLoadProblem:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(ProblemFormatError, match=r"conditions: expected 2"):
-            load_problem(str(path))
+            load(str(path))
 
     def test_errors_carry_json_paths(self):
         doc = example_problem_document(1)
@@ -113,7 +119,7 @@ class TestLoadProblem:
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ProblemFormatError, match="not valid JSON"):
-            load_problem(str(path))
+            load(str(path))
 
     def test_parametric_condition_supported(self):
         doc = example_problem_document(1)
@@ -131,7 +137,7 @@ class TestExampleCommand:
             out = capsys.readouterr().out
             path = tmp_path / f"ex{which}.json"
             path.write_text(out, encoding="utf-8")
-            loaded = load_problem(str(path))
+            loaded = load(str(path))
             direct, _ = problem_from_document(example_problem_document(which))
             assert loaded == direct
 
@@ -265,6 +271,36 @@ class TestSolveCommand:
         label = "conditions[0].t" if where == "t" else "interval.T"
         assert f"{label}: must be a number" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("t0, t_end, forcing", [
+        (0, float("inf"), "4*t - 6"),
+        (-1e308, 1e308, "4*t - 6"),
+        (-1e308, 1e308, "0"),
+    ])
+    def test_interval_of_non_finite_length_exits_1_without_warning(self, tmp_path, capsys,
+                                                                   t0, t_end, forcing):
+        doc = example_problem_document(1)
+        doc["interval"] = {"t0": t0, "T": t_end}
+        doc["conditions"][0]["t"] = t0
+        doc["equation"]["forcing"] = forcing
+        path = tmp_path / "endless.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")  # inf is written as Infinity
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "interval: length T - t0 must be finite" in err
+        assert "Traceback" not in err and "Warning" not in err
+
+    def test_coefficient_beyond_float_range_exits_1_naming_it(self, tmp_path, capsys):
+        doc = example_problem_document(1)
+        doc["equation"]["coeffs"][0] = "1e400"
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "equation.coeffs[0]: number 1e400 is too large for a float (column 1)" in err
+        assert "integration" not in err
 
 
 class TestVerifyCommand:
@@ -412,7 +448,7 @@ class TestByteIdentity:
         out = tmp_path / "report.json"
         assert run_cli(["verify", path, "--alpha", "0.6", "--samples", "3", "--mesh", "199",
                         "--tolerance", "1e-3", "--out", str(out)]) == 0
-        problem = load_problem(path)
+        problem = load(path)
         band = solve_fuzzy_bvp(problem).band([0.6], grid=TimeGrid(0.0, 2.0, 201))
         report = compare(band, envelope(problem, 0.6, 3, FDMesh(0.0, 2.0, 199)))
         doc = {"problem": path, "mesh_interior_points": 199, "samples_per_axis": 3,

@@ -91,6 +91,13 @@ class TestSyntaxErrors:
         with pytest.raises(ExpressionSyntaxError, match="column 3"):
             parse("4*")
 
+    @pytest.mark.parametrize("text, position", [("1e400", 0), ("2*t + 1.5E+309", 6)])
+    def test_literal_beyond_float_range(self, text, position):
+        # the literal would parse to inf, whose printed text does not parse back
+        with pytest.raises(ExpressionSyntaxError, match="too large for a float") as info:
+            parse(text)
+        assert info.value.position == position
+
 
 class TestEvaluationErrors:
     def test_division_by_zero(self):

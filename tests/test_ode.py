@@ -65,6 +65,13 @@ def analytic_trajectory(grid, fn, dfn):
     return Trajectory(grid, states, np.array([dfn(t) for t in nodes]))
 
 
+class TestTimeGrid:
+    @pytest.mark.parametrize("t0, t_end", [(0.0, float("inf")), (-1e308, 1e308)])
+    def test_non_finite_length_rejected(self, t0, t_end):
+        with pytest.raises(ValueError, match="t_end - t0 must be finite"):
+            TimeGrid(t0, t_end, 11)
+
+
 class TestIntegrateIvp:
     def test_free_particle_is_exact(self):
         # RK4 reproduces polynomials of degree <= 3 exactly
@@ -169,7 +176,8 @@ class TestFusedScan:
         conds = tuple((p, TriangularFuzzyNumber(0.5 + i, 1.0 + i, 1.5 + i))
                       for i, p in enumerate(points))
         solution = solve_fuzzy_bvp(FuzzyBVP(ode, conds, grid))
-        separate = weight_functions(homogeneous_basis(ode, grid), points)
+        basis = homogeneous_basis(ode, grid)
+        separate = weight_functions(basis, points)
         assert np.array_equal(solution.weight_basis.weights, separate.weights)
         assert np.array_equal(solution.weight_basis.weight_slopes, separate.weight_slopes)
         # the crisp trajectory agrees with a particular solution integrated
@@ -177,9 +185,9 @@ class TestFusedScan:
         # (amplified by the boundary matrix's condition ~1e6 for k = 18)
         particular = integrate_ivp(ode, np.zeros(ode.order), grid)
         residual = np.array([1.0 + i for i in range(len(points))]) - particular.value(points)
-        coefficients = np.linalg.solve(separate.matrix, residual)
-        states = particular.states + sum(c * b.states for c, b in zip(coefficients, separate.basis))
-        slopes = particular.slopes + sum(c * b.slopes for c, b in zip(coefficients, separate.basis))
+        coefficients = np.linalg.solve(boundary_matrix(basis, points), residual)
+        states = particular.states + sum(c * b.states for c, b in zip(coefficients, basis))
+        slopes = particular.slopes + sum(c * b.slopes for c, b in zip(coefficients, basis))
         scale = np.max(np.abs(states))
         tol = 2e-9 if name == "stiff-k18" else 1e-13
         assert np.max(np.abs(solution.crisp.states - states)) <= tol * scale
@@ -347,6 +355,12 @@ class TestSolveCrispBvp:
         grid = TimeGrid(0.0, 1.0, 101)
         traj = solve_crisp_bvp(ode, [(0.0, 0.0), (1.0, 1.0)], grid)
         assert np.max(np.abs(traj.values - grid.nodes())) <= 1e-12
+
+    def test_boundary_given_as_an_iterator(self):
+        grid = TimeGrid(0.0, 1.0, 101)
+        listed = solve_crisp_bvp(EX1_ODE, [(0.0, 2.0), (1.0, 3.0)], grid)
+        streamed = solve_crisp_bvp(EX1_ODE, iter([(0.0, 2.0), (1.0, 3.0)]), grid)
+        assert np.array_equal(streamed.states, listed.states)
 
     def test_boundary_values_hit_exactly(self):
         grid = TimeGrid(0.0, 1.0, 1001)

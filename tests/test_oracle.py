@@ -21,6 +21,11 @@ VARIABLE_ODE = LinearODE.from_strings(2, ["sin(t)", "1 + t^2"], "t")
 
 
 class TestFdSolve:
+    @pytest.mark.parametrize("t0, t_end", [(0.0, float("inf")), (-1e308, 1e308)])
+    def test_mesh_of_non_finite_length_rejected(self, t0, t_end):
+        with pytest.raises(ValueError, match="must be finite"):
+            FDMesh(t0, t_end, 9)
+
     def test_exact_on_linear_solutions(self):
         ode = LinearODE.from_strings(2, ["0", "0"], "0")
         mesh = FDMesh(0.0, 1.0, 9)

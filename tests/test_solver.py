@@ -10,7 +10,7 @@ import reference
 from fuzzybvp import fuzzy
 from fuzzybvp.fuzzy import ParametricFuzzyNumber, TriangularFuzzyNumber
 from fuzzybvp.ode import LinearODE, TimeGrid, solve_crisp_bvp
-from fuzzybvp.solver import FuzzyBVP, assemble, decompose, solve_fuzzy_bvp
+from fuzzybvp.solver import FuzzyBVP, FuzzySolution, solve_fuzzy_bvp
 
 
 class TestProblemValidation:
@@ -25,6 +25,10 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="distinct"):
             FuzzyBVP(ode, conds, TimeGrid(0, 1, 11))
 
+    def test_conditions_given_as_a_generator(self, example1):
+        conds = ((p, u) for p, u in example1.conditions)
+        assert FuzzyBVP(example1.ode, conds, example1.grid).conditions == example1.conditions
+
     def test_condition_point_inside_interval(self):
         ode = LinearODE.from_strings(2, ["-3", "2"], "0")
         conds = ((0.0, TriangularFuzzyNumber(0, 1, 2)), (3.0, TriangularFuzzyNumber(0, 1, 2)))
@@ -33,31 +37,33 @@ class TestProblemValidation:
 
 
 class TestDecompose:
-    def test_example1_split(self, example1):
-        crisp, uncertain = decompose(example1)
-        assert crisp == (2.0, 3.0)
-        assert uncertain == (TriangularFuzzyNumber(-0.5, 0.0, 1.0),
-                             TriangularFuzzyNumber(-1.0, 0.0, 1.0))
+    """The solution keeps each condition split into vertex and uncertain part."""
 
-    def test_example2_split(self, example2):
-        crisp, uncertain = decompose(example2)
-        assert crisp == (3.0, 1.0)
-        assert uncertain == (TriangularFuzzyNumber(-1.0, 0.0, 0.5),
-                             TriangularFuzzyNumber(-0.5, 0.0, 0.5))
+    def test_example1_split(self, solution1):
+        assert solution1.crisp_boundary_values == (2.0, 3.0)
+        assert solution1.uncertain_parts == (TriangularFuzzyNumber(-0.5, 0.0, 1.0),
+                                             TriangularFuzzyNumber(-1.0, 0.0, 1.0))
+
+    def test_example2_split(self, solution2):
+        assert solution2.crisp_boundary_values == (3.0, 1.0)
+        assert solution2.uncertain_parts == (TriangularFuzzyNumber(-1.0, 0.0, 0.5),
+                                             TriangularFuzzyNumber(-0.5, 0.0, 0.5))
 
     def test_all_crisp_conditions(self):
         ode = LinearODE.from_strings(2, ["-3", "2"], "4*t - 6")
         conds = ((0.0, TriangularFuzzyNumber(5, 5, 5)), (1.0, TriangularFuzzyNumber(7, 7, 7)))
-        crisp, uncertain = decompose(FuzzyBVP(ode, conds, TimeGrid(0, 1, 11)))
-        assert crisp == (5.0, 7.0)
-        assert all(u == TriangularFuzzyNumber(0, 0, 0) for u in uncertain)
+        solution = solve_fuzzy_bvp(FuzzyBVP(ode, conds, TimeGrid(0, 1, 11)))
+        assert solution.crisp_boundary_values == (5.0, 7.0)
+        assert all(u == TriangularFuzzyNumber(0, 0, 0) for u in solution.uncertain_parts)
 
 
 class TestAssemble:
+    """Constructing a FuzzySolution from solved parts."""
+
     def test_zero_uncertain_parts_degenerate_to_crisp(self, solution1):
         zero = TriangularFuzzyNumber(0.0, 0.0, 0.0)
-        degenerate = assemble(solution1.crisp, solution1.weight_basis, (zero, zero),
-                              solution1.crisp_boundary_values)
+        degenerate = FuzzySolution(solution1.crisp, solution1.weight_basis, (zero, zero),
+                                   solution1.crisp_boundary_values)
         for t in (0.0, 0.3, 0.72, 1.0):
             for alpha in (0.0, 0.5, 1.0):
                 cut = degenerate.value_at(t, alpha)
@@ -65,15 +71,15 @@ class TestAssemble:
 
     def test_grid_mismatch_rejected(self, solution1, solution2):
         with pytest.raises(ValueError, match="share a grid"):
-            assemble(solution2.crisp, solution1.weight_basis,
-                     solution1.uncertain_parts, solution1.crisp_boundary_values)
+            FuzzySolution(solution2.crisp, solution1.weight_basis,
+                          solution1.uncertain_parts, solution1.crisp_boundary_values)
 
     def test_nonzero_vertex_rejected(self, solution1):
         bad = TriangularFuzzyNumber(-0.5, 0.1, 1.0)
         with pytest.raises(ValueError, match="vertex"):
-            assemble(solution1.crisp, solution1.weight_basis,
-                     (bad, solution1.uncertain_parts[1]),
-                     solution1.crisp_boundary_values)
+            FuzzySolution(solution1.crisp, solution1.weight_basis,
+                          (bad, solution1.uncertain_parts[1]),
+                          solution1.crisp_boundary_values)
 
 
 class TestValueAt:
@@ -170,14 +176,19 @@ class TestBand:
             assert band.upper[0, i] == pytest.approx(cut.hi, abs=1e-12)
 
     def test_off_grid_band_matches_value_at_everywhere(self, solution2):
-        # 997 output nodes fall between the 1001 solution nodes
-        out = TimeGrid(0.0, 2.0, 997)
+        # 997 output nodes fall between the 1001 solution nodes; band and
+        # value_at share one cut evaluator, so they agree bit for bit, on
+        # the solution grid as well as off it
         levels = [0.0, 0.6, 1.0]
-        band = solution2.band(levels, grid=out)
-        for k, alpha in enumerate(levels):
-            cuts = [solution2.value_at(float(t), alpha) for t in out.nodes()]
-            assert np.max(np.abs(band.lower[k] - [c.lo for c in cuts])) <= 1e-12
-            assert np.max(np.abs(band.upper[k] - [c.hi for c in cuts])) <= 1e-12
+        for out in (TimeGrid(0.0, 2.0, 997), solution2.grid):
+            band = solution2.band(levels, grid=out)
+            for k, alpha in enumerate(levels):
+                cuts = [solution2.value_at(float(t), alpha) for t in out.nodes()]
+                lower, upper = [c.lo for c in cuts], [c.hi for c in cuts]
+                assert np.max(np.abs(band.lower[k] - lower)) <= 1e-12
+                assert np.max(np.abs(band.upper[k] - upper)) <= 1e-12
+                assert np.array_equal(band.lower[k], lower)
+                assert np.array_equal(band.upper[k], upper)
 
 
 def interval_arithmetic_cut(solution, t, alpha):
@@ -277,6 +288,9 @@ class TestMembershipOf:
     def test_wrong_arity_rejected(self, solution1):
         with pytest.raises(ValueError, match="expected 2"):
             solution1.membership_of([2.0])
+
+    def test_nan_value_gives_zero(self, solution1):
+        assert solution1.membership_of([float("nan"), 3.0]) == 0.0
 
 
 @functools.lru_cache(maxsize=None)
