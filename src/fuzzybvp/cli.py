@@ -6,6 +6,11 @@ Subcommands:
 * ``verify``  -- cross-check the band against the finite-difference oracle
 * ``example`` -- print one of the two built-in problems as JSON
 
+Every number is written as ``%.12g``. CSV is formatted with one ``%`` per
+block of rows. The JSON of ``solve --format json`` and of the ``verify``
+report comes from ``_to_json``: one ``%`` per series, the same bytes as
+``json.dumps(..., indent=2)`` of the rounded values.
+
 Exit codes: 0 success, 1 validation or usage error or a failed solve
 (non-finite integration, weights missing the unit property), 2 crisp
 problem not uniquely solvable, 3 verification failure.
@@ -17,6 +22,7 @@ import argparse
 import copy
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -242,17 +248,45 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _round_tree(obj):
-    if isinstance(obj, float):
-        return float(_fmt(obj))
+# The "%.12g" tokens whose text is not repr(float(token)): no "." (integers,
+# "-0", "nan", "inf", "1e-05"), exponents 12-15 (repr writes those out in full)
+# and e-3dd (subnormals keep fewer digits). Every other token has at most 12
+# significant digits in the normal range, below DBL_DIG = 15, so repr of its
+# float has the same digits in the same notation.
+_REPR_DIFFERS = re.compile(r"^(?:[^.\n]+|.*e(?:\+1[2-5]|-3\d\d))$", re.M)
+
+
+def _repr_token(match) -> str:
+    return json.dumps(float(match.group()))
+
+
+def _to_json(obj, indent: str = "") -> str:
+    """``json.dumps(obj, indent=2)`` with every float rounded through ``%.12g``.
+
+    Floats and the cells of 1-D numpy arrays are rounded; arrays are written
+    as lists. Dict keys must be strings. ``indent`` is the indentation of the
+    line ``obj`` starts on.
+    """
+    inner = indent + "  "
     if isinstance(obj, np.ndarray):
-        # One "%" for the whole array; "%.12g" and f"{x:.12g}" give the same bytes.
-        return [float(cell) for cell in (("%.12g\n" * obj.size) % tuple(obj.tolist())).split()]
+        if not obj.size:
+            return "[]"
+        text = _REPR_DIFFERS.sub(_repr_token, ("%.12g\n" * obj.size) % tuple(obj.tolist()))
+        return f"[\n{inner}" + text[:-1].replace("\n", ",\n" + inner) + f"\n{indent}]"
     if isinstance(obj, dict):
-        return {k: _round_tree(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        items = ",\n".join(f"{inner}{json.dumps(k)}: {_to_json(v, inner)}"
+                           for k, v in obj.items())
+        return f"{{\n{items}\n{indent}}}"
     if isinstance(obj, (list, tuple)):
-        return [_round_tree(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        items = ",\n".join(inner + _to_json(v, inner) for v in obj)
+        return f"[\n{items}\n{indent}]"
+    if isinstance(obj, float):
+        return json.dumps(float(_fmt(obj)))
+    return json.dumps(obj)
 
 
 def band_to_csv(band: SolutionBand) -> str:
@@ -285,7 +319,7 @@ def band_to_json(band: SolutionBand) -> str:
             for k, alpha in enumerate(band.alphas)
         ],
     }
-    return json.dumps(_round_tree(doc), indent=2) + "\n"
+    return _to_json(doc) + "\n"
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -316,12 +350,20 @@ def _parse_tolerance(text: str) -> float:
     return value
 
 
+def _parse_points(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 2, got {value}")
+    return value
+
+
 def cmd_solve(args) -> int:
     problem, output = problem_from_document(_read_document(args.problem))
     alphas = args.alphas if args.alphas is not None else output.alphas
     points = args.points if args.points is not None else output.points
-    if points < 2:
-        raise ProblemFormatError(["output.points: must be an integer >= 2"])
     solution = solve_fuzzy_bvp(problem)
     out_grid = TimeGrid(problem.grid.t0, problem.grid.t_end, points)
     band = solution.band(alphas, grid=out_grid)
@@ -351,7 +393,7 @@ def cmd_verify(args) -> int:
         "passed": passed,
         **report.to_dict(),
     }
-    _write_output(json.dumps(_round_tree(doc), indent=2) + "\n", args.out)
+    _write_output(_to_json(doc) + "\n", args.out)
     if not passed:
         sys.stderr.write(
             f"verification failed: max deviation {report.max_deviation:.3e} "
@@ -390,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--alphas", type=_parse_alpha_list, default=None,
                        help="comma-separated levels, e.g. 0,0.5,1 "
                             "(default: the problem file's output.alphas)")
-    solve.add_argument("--points", type=int, default=None,
+    solve.add_argument("--points", type=_parse_points, default=None,
                        help="number of output rows (default: output.points)")
     solve.add_argument("--out", default=None, help="output path (default: stdout)")
     solve.add_argument("--format", choices=("csv", "json"), default="csv")

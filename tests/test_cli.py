@@ -13,7 +13,7 @@ from fuzzybvp.cli import (
     EXAMPLE_PROBLEMS,
     ProblemFormatError,
     _read_document,
-    _round_tree,
+    _to_json,
     band_to_csv,
     band_to_json,
     example_problem_document,
@@ -236,6 +236,14 @@ class TestSolveCommand:
         path = write_example(tmp_path, 1)
         assert run_cli(["solve", path, "--alphas", "0,banana"]) == 1
 
+    @pytest.mark.parametrize("points", ["1", "-5", "0", "2.5", "x"])
+    def test_points_flag_error_names_the_flag(self, tmp_path, capsys, points):
+        path = write_example(tmp_path, 1)
+        assert run_cli(["solve", path, "--points", points]) == 1
+        err = capsys.readouterr().err
+        assert "argument --points:" in err
+        assert "output.points" not in err and "invalid problem file" not in err
+
     @pytest.mark.parametrize("value, message", [
         ({"type": "triangular", "l": None, "m": 2, "r": 3}, "field l must be a number"),
         ({"type": "triangular", "l": [1], "m": 2, "r": 3}, "field l must be a number"),
@@ -435,13 +443,35 @@ class TestByteIdentity:
         band = special_band(rows)
         assert_same_text(band_to_json(band), reference.band_to_json(band))
 
-    def test_round_tree_matches_per_value_reference(self):
+    def test_to_json_matches_per_value_reference(self):
         values = np.array(SPECIAL_CELLS)
         tree = {"x": 2 / 3, "series": values, "nested": [values[::-1], {"empty": values[:0]}]}
         listed = {"x": 2 / 3, "series": list(values),
                   "nested": [list(values[::-1]), {"empty": []}]}
-        assert_same_text(json.dumps(_round_tree(tree), indent=2),
-                         json.dumps(reference.round_tree(listed), indent=2))
+        assert_same_text(_to_json(tree), json.dumps(reference.round_tree(listed), indent=2))
+
+    @pytest.mark.parametrize("x", [
+        -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.2250738585072009e-308,
+        999999999999.5, 999999999999.4, 1e12, 1e15, 9.999999999999e15, 9.9999999999995e15,
+        1e16, 1e-4, 1e-5, 100.0, 1.7976931348623157e308,
+        float("nan"), float("inf"), float("-inf"),
+    ])
+    def test_to_json_series_at_notation_thresholds(self, x):
+        expected = json.dumps([float(f"{x:.12g}")], indent=2)
+        assert _to_json(np.array([x])) == expected
+        assert _to_json(x) == json.dumps(float(f"{x:.12g}"))
+
+    @pytest.mark.parametrize("empty, listed", [(np.array([]), []), ({}, {}), ([], []),
+                                               ((), [])])
+    def test_to_json_empty_containers(self, empty, listed):
+        assert _to_json(empty) == json.dumps(listed, indent=2)
+        assert _to_json({"k": [empty]}) == json.dumps({"k": [listed]}, indent=2)
+
+    def test_to_json_scalars_and_keys_as_json_module(self):
+        doc = {"s": 'q"b\\\u00e9\n\u2028', 'k"\u00e9': True, "f": False, "n": None, "i": -7,
+               "big": 10**30, "t": (1, [2.5, np.array([0.1, 3.0])])}
+        listed = {**doc, "t": [1, [2.5, [0.1, 3.0]]]}
+        assert_same_text(_to_json(doc), json.dumps(reference.round_tree(listed), indent=2))
 
     def test_verify_report_matches_per_value_reference(self, tmp_path):
         path = write_example(tmp_path, 2)
@@ -458,8 +488,32 @@ class TestByteIdentity:
         expected = json.dumps(reference.round_tree(doc), indent=2) + "\n"
         assert_same_text(out.read_text(encoding="utf-8"), expected)
 
+    @pytest.mark.parametrize("which, alpha", [(1, 0.0), (2, 0.6)])
+    def test_verify_report_at_benchmark_shape(self, tmp_path, which, alpha):
+        path = write_example(tmp_path, which, name='pro"b\\l\u00e9m.json')
+        out = tmp_path / "report.json"
+        assert run_cli(["verify", path, "--alpha", str(alpha), "--samples", "21",
+                        "--mesh", "1999", "--out", str(out)]) == 0
+        problem = load(path)
+        t_end = problem.grid.t_end
+        band = solve_fuzzy_bvp(problem).band([alpha], grid=TimeGrid(0.0, t_end, 2001))
+        report = compare(band, envelope(problem, alpha, 21, FDMesh(0.0, t_end, 1999)))
+        doc = {"problem": path, "mesh_interior_points": 1999, "samples_per_axis": 21,
+               "tolerance": 1e-4, "passed": True,
+               **{k: list(v) if isinstance(v, np.ndarray) else v
+                  for k, v in report.to_dict().items()}}
+        expected = json.dumps(reference.round_tree(doc), indent=2) + "\n"
+        assert '\\"' in expected and "\\\\" in expected and "\\u00e9" in expected
+        assert_same_text(out.read_text(encoding="utf-8"), expected)
+
 
 @given(st.integers(min_value=0, max_value=2**64 - 1))
 def test_percent_format_matches_f_string_for_every_float64(bits):
     x = struct.unpack("<d", struct.pack("<Q", bits))[0]
     assert "%.12g" % x == f"{x:.12g}" == f"{np.float64(x):.12g}"
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1))
+def test_to_json_series_matches_json_module_for_every_float64(bits):
+    x = struct.unpack("<d", struct.pack("<Q", bits))[0]
+    assert _to_json(np.array([x])) == json.dumps([float(f"{x:.12g}")], indent=2)
