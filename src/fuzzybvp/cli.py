@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import math
 import re
@@ -415,6 +416,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # built on first use, then shared: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="fuzzybvp",

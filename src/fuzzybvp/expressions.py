@@ -62,7 +62,8 @@ class Expression:
 
     ``evaluate`` takes a float or a numpy array of times and returns values
     of the same shape (a numpy float for a scalar t): one ufunc call per
-    tree node, whatever the number of points.  Domain errors and
+    tree node, whatever the number of points; a constant is a read-only
+    broadcast view, so no array is filled for it.  Domain errors and
     non-finite intermediate results raise EvaluationError naming the first
     offending t.
     """
@@ -79,7 +80,7 @@ class Number(Expression):
     value: float
 
     def evaluate(self, t):
-        return np.full(np.shape(t), self.value, dtype=float)[()]
+        return np.broadcast_to(np.float64(self.value), np.shape(t))[()]
 
     def to_text(self):
         return repr(self.value)

@@ -5,9 +5,10 @@ A linear ODE of order n,
     x^(n) + a_1(t) x^(n-1) + ... + a_n(t) x = f(t),
 
 is integrated as a first-order companion system with classical fixed-step
-RK4, applied as a prefix product of per-step affine maps.  One scan from
-the augmented identity gives a fundamental basis (canonical initial states)
-and a particular solution (zero initial state) together.  The weight
+RK4, run on the block states through the companion structure (a shift plus
+one row) and carried from block to block.  One scan from the augmented
+identity gives a fundamental basis (canonical initial states) and a
+particular solution (zero initial state) together.  The weight
 functions are the basis combined with the inverse boundary matrix (by a
 linear solve), and the crisp solution is the particular one plus the basis
 combination that meets the boundary values: what the fuzzy layer builds on.
@@ -156,71 +157,79 @@ class Trajectory:
         return _hermite(self.grid, self.values, self.slopes, t)[()]
 
 
-def _companion_rows(ode: LinearODE, grid: TimeGrid) -> np.ndarray:
-    """Row (-a_n, ..., -a_1, f) of the augmented companion matrix at every
-    point of the half-step lattice, where all RK4 stage times fall for a
-    fixed step.  Each expression is evaluated once, as an array."""
-    n = ode.order
-    half_times = grid.t0 + 0.5 * grid.step * np.arange(2 * grid.num_points - 1)
-    half_times[-1] = grid.t_end
-    rows = np.empty((len(half_times), n + 1))
-    for j, coeff in enumerate(reversed(ode.coeffs)):
-        rows[:, j] = -coeff.evaluate(half_times)
-    rows[:, n] = ode.forcing.evaluate(half_times)
-    return rows
+def _rk4_scan(ode: LinearODE, grid: TimeGrid, initial: np.ndarray):
+    """Node states (N, n, c) and value-channel slopes (N, c) of the augmented
+    system z' = C(t) z from the columns of ``initial`` (n+1, c), by RK4 run
+    straight on the block states through the companion structure.
 
-
-def _scan_step_maps(rows: np.ndarray, h: float, initial: np.ndarray) -> np.ndarray:
-    """Node states of the augmented system z' = C(t) z by RK4 step maps and
-    a blocked prefix scan.
-
-    C(t) is the (n+1) x (n+1) companion matrix [[A(t), f(t) e_n], [0, 0]]
-    whose row n-1 is ``rows[k]`` at half-step lattice point k.  For a
-    linear ODE one RK4 step is the matrix M_j = I + h/6 (K1 + 2 K2 + 2 K3
-    + K4) with K1 = C(t_j), K2 = C(t_j + h/2)(I + h/2 K1),
-    K3 = C(t_j + h/2)(I + h/2 K2) and K4 = C(t_j + h)(I + h K3), so the
-    state at node j is the prefix product M_{j-1} ... M_0 applied to
-    ``initial`` (shape (n+1, c); its last row scales the forcing).
-
-    The steps are cut into blocks of about sqrt(steps / 16) steps.  Maps
-    are built and multiplied up one in-block position at a time,
-    vectorized across blocks; a short sequential pass then carries the
-    state from block to block, and one batched product gives every node.
-    Only the value rows of the in-block products are kept, so the memory
-    held is a small multiple of the output.  Returns the first n state
-    components, shape (steps + 1, n, c).
+    C(t) = [[A(t), f(t) e_n], [0, 0]] is a shift plus the row
+    r(t) = (-a_n, ..., -a_1, f), so C X is the rows X[1:n] plus one new row
+    sum_j r_j X[j], with r_n added to the forcing column: no matmul.  The
+    steps are cut into blocks.  Every block takes RK4 steps of P' = C(t) P
+    from P = [I | 0], one in-block position at a time for all blocks at
+    once; P is the first n rows of the block's state matrix, whose
+    augmented row stays e_n and is never stored.  A short sequential pass
+    then carries the state from block to block, and one batched product
+    gives every node.  The coefficients and the forcing are evaluated once
+    on the half-step lattice t0 + h/2 k (t_end at its end), where all stage
+    times fall, laid out as (2 block + 1, n+1, blocks) so that each stage
+    row is a contiguous slice.
     """
-    steps = (len(rows) - 1) // 2
-    m = rows.shape[1]
-    n = m - 1
-    # One in-block position costs about 25 numpy calls and one carry costs
-    # one, so blocks of about sqrt(steps / 16) steps balance the two loops.
+    n, m, steps, h = ode.order, ode.order + 1, grid.num_points - 1, grid.step
+    # One in-block position costs about 20 numpy calls on arrays of all
+    # blocks and one carry one small matmul; blocks of sqrt(steps / 16)
+    # steps balance the two (timings are flat from steps / 32 to steps / 4).
     block = max(1, math.isqrt(steps // 16))
     blocks = -(-steps // block)
-    first = np.arange(blocks) * block
-    eye = np.eye(m)
-    c1, c2, c3 = (np.tile(np.eye(m, k=1), (blocks, 1, 1)) for _ in range(3))
-    local = np.empty((blocks, block, n, m))
-    prefix = eye
+    # one row of times per block, so that an EvaluationError names the
+    # earliest offending time
+    times = np.arange(0.0, 2 * steps, 2 * block)[:, None] + np.arange(2 * block + 1.0)
+    times *= 0.5 * h
+    times += grid.t0
+    # the last block may run past the end: t_end there, and its states are dropped
+    times[-1, 2 * (steps - (blocks - 1) * block):] = grid.t_end
+    rows = np.empty((2 * block + 1, m, blocks))
+    for j, coeff in enumerate(reversed(ode.coeffs)):
+        np.negative(coeff.evaluate(times).T, out=rows[:, j])
+    rows[:, n] = ode.forcing.evaluate(times).T
+    del times
+    # z[:n] holds a stage argument Y and z[n] the new row of C Y, so the
+    # stage slope C Y is the view z[1:]; z1[:n] is the in-block state P
+    z1, z2, z3, z4 = (np.empty((m, m, blocks)) for _ in range(4))
+    prod, total = z1[:n], np.empty((n, m, blocks))
+    prod[:] = np.eye(n, m)[:, :, None]
+    out = np.empty((blocks * block + 1, n, m))  # in-block states, then node states
+    local = out[1:].reshape(blocks, block, n, m)
     for i in range(block):
-        # steps past the end repeat the last step; their states are dropped
-        k = 2 * np.minimum(first + i, steps - 1)
-        c1[:, n - 1], c2[:, n - 1], c3[:, n - 1] = rows[k], rows[k + 1], rows[k + 2]
-        stage = c1
-        total = c1.copy()
-        for c, a, w in ((c2, 0.5 * h, 2.0), (c2, 0.5 * h, 2.0), (c3, h, 1.0)):
-            stage = c @ (eye + a * stage)
-            total += w * stage
-        prefix = (eye + (h / 6.0) * total) @ prefix
-        local[:, i] = prefix[:, :n]
-    starts = np.empty((blocks,) + initial.shape)
-    starts[0] = initial
+        for r, z, nxt, a in ((rows[2 * i], z1, z2, 0.5 * h), (rows[2 * i + 1], z2, z3, 0.5 * h),
+                             (rows[2 * i + 1], z3, z4, h), (rows[2 * i + 2], z4, None, 0.0)):
+            np.einsum("jb,jkb->kb", r[:n], z[:n], out=z[n])
+            z[n, n] += r[n]
+            if nxt is not None:
+                np.multiply(z[1:], a, out=nxt[:n])
+                nxt[:n] += prod
+        np.add(z2[1:], z3[1:], out=total)
+        total *= 2.0
+        total += z1[1:]
+        total += z4[1:]
+        total *= h / 6.0
+        prod += total
+        local[:, i] = prod.transpose(2, 0, 1)
+    c = initial.shape[1]
+    starts = np.empty((blocks, m, c))
+    starts[:] = initial
     for b in range(1, blocks):
-        starts[b] = prefix[b - 1] @ starts[b - 1]
-    states = np.empty((blocks * block + 1, n, initial.shape[1]))
-    states[0] = initial[:n]
-    np.matmul(local, starts[:, None], out=states[1:].reshape(blocks, block, n, -1))
-    return states[:steps + 1]
+        starts[b, :n] = local[b - 1, -1] @ starts[b - 1]
+    # in place, a few blocks at a time, so no second array of states is made
+    for b in range(0, blocks, 16):
+        local[b:b + 16, :, :, :c] = local[b:b + 16] @ starts[b:b + 16, None]
+    out[0, :, :c] = initial[:n]
+    states = out[:steps + 1, :, :c]
+    if n >= 2:
+        return states, states[:, 1]
+    # x' = -a_1 x + z f, where the augmented component z stays constant
+    nodes = np.concatenate([rows[:-1:2].transpose(2, 0, 1).reshape(-1, m), rows[-1:, :, -1]])
+    return states, nodes[:steps + 1, :1] * states[:, 0] + nodes[:steps + 1, 1:] * initial[n]
 
 
 def _propagate(ode: LinearODE, grid: TimeGrid, initial: np.ndarray):
@@ -229,29 +238,23 @@ def _propagate(ode: LinearODE, grid: TimeGrid, initial: np.ndarray):
     Returns node states (N, n, c) and value-channel slopes (N, c); raises
     IntegrationError at the first node whose state is not finite.
     """
-    n = ode.order
-    rows = _companion_rows(ode, grid)
     # overflow is detected via the finiteness check, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        states = _scan_step_maps(rows, grid.step, initial)
+        states, slopes = _rk4_scan(ode, grid, initial)
     finite = np.isfinite(states).all(axis=(1, 2))
     if not finite.all():
         node = int(np.argmin(finite))
         raise IntegrationError(f"integration blew up at node {node} "
                                f"(t = {grid.t0 + node * grid.step:g})")
-    if n >= 2:
-        slopes = states[:, 1]
-    else:  # x' = -a_1 x + z f, where the augmented component z stays constant
-        slopes = rows[::2, :1] * states[:, 0] + rows[::2, 1:] * initial[n]
     return states, slopes
 
 
 def integrate_ivp(ode: LinearODE, initial_state, grid: TimeGrid) -> Trajectory:
     """Integrate the companion first-order system with classical RK4.
 
-    The RK4 steps are applied as step maps through a blocked prefix scan
-    (see ``_scan_step_maps``).  Raises IntegrationError when a state stops
-    being finite.
+    The RK4 steps run on the block states through the companion structure
+    (see ``_rk4_scan``).  Raises IntegrationError when a state stops being
+    finite.
     """
     n = ode.order
     state = np.array(initial_state, dtype=float)
@@ -376,7 +379,8 @@ def _basis_and_crisp(ode: LinearODE, grid: TimeGrid, points: Sequence[float],
     at_points = _hermite(grid, states[:, 0], slopes, np.array(points, dtype=float))
     require_invertible(at_points[:, :n])
     coefficients = np.linalg.solve(at_points[:, :n], values - at_points[:, n])
-    crisp = Trajectory(grid, states[:, :, n] + states[:, :, :n] @ coefficients,
+    combination = np.einsum("kij,j->ki", states[:, :, :n], coefficients)  # not a strided matmul
+    crisp = Trajectory(grid, states[:, :, n] + combination,
                        slopes[:, n] + slopes[:, :n] @ coefficients)
     return tuple(Trajectory(grid, states[:, :, i], slopes[:, i]) for i in range(n)), crisp
 

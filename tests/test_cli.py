@@ -11,11 +11,15 @@ import reference
 from fuzzybvp.cli import (
     CSV_BLOCK_ROWS,
     EXAMPLE_PROBLEMS,
+    VERIFY_DEFAULT_MESH,
+    VERIFY_DEFAULT_SAMPLES,
+    VERIFY_DEFAULT_TOLERANCE,
     ProblemFormatError,
     _read_document,
     _to_json,
     band_to_csv,
     band_to_json,
+    build_parser,
     example_problem_document,
     main,
     problem_from_document,
@@ -375,6 +379,39 @@ class TestVerifyCommand:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert run_cli(["verify", str(path)]) == 1
         assert "order-2" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    """The parser is built once per process; one call leaves nothing behind
+    for the next."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_flags_of_one_solve_do_not_carry_over(self, tmp_path, capsys):
+        path = write_example(tmp_path, 1)
+        assert run_cli(["solve", path, "--alphas", "0,1", "--points", "11"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[0] == "t,lower_0,upper_0,lower_1,upper_1" and len(lines) == 1 + 11
+        assert run_cli(["solve", path]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        # the file's output.alphas and output.points
+        assert lines[0] == "t,lower_0,upper_0,lower_0.5,upper_0.5,lower_1,upper_1"
+        assert len(lines) == 1 + 101
+
+    def test_verify_after_solve_gets_its_own_defaults(self, tmp_path, capsys):
+        path = write_example(tmp_path, 1)
+        band = str(tmp_path / "band.csv")
+        assert run_cli(["solve", path, "--alphas", "0.5", "--points", "7", "--out", band]) == 0
+        assert run_cli(["verify", path, "--alpha", "0.5", "--samples", "3", "--mesh", "99",
+                        "--tolerance", "1e-3"]) == 0
+        capsys.readouterr()
+        assert run_cli(["verify", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["alpha"] == 0.0
+        assert doc["samples_per_axis"] == VERIFY_DEFAULT_SAMPLES
+        assert doc["mesh_interior_points"] == VERIFY_DEFAULT_MESH
+        assert doc["tolerance"] == VERIFY_DEFAULT_TOLERANCE
 
 
 class TestCsvFormatting:

@@ -171,6 +171,15 @@ def test_array_evaluation_matches_scalar(text):
     np.testing.assert_allclose(values, scalars, rtol=1e-14, atol=1e-14)
 
 
+def test_constant_is_a_read_only_view_of_the_times_shape():
+    # the RK4 scan evaluates on a 2-D lattice; a constant fills no array
+    values = parse("2").evaluate(np.zeros((3, 4)))
+    assert values.shape == (3, 4) and np.all(values == 2.0)
+    assert not values.flags.writeable
+    assert isinstance(parse("2").evaluate(0.5), float)
+    assert parse("-2").evaluate(np.zeros((3, 4))).shape == (3, 4)
+
+
 @pytest.mark.parametrize("text, times, message, first", [
     ("1/(t-1)", np.linspace(0.0, 2.0, 5), "division by zero", 1.0),
     ("log(t)", [2.0, 1.0, -1.0, 0.0], "log of non-positive", -1.0),

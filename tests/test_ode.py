@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import reference
 from fuzzybvp import ode as ode_module
+from fuzzybvp.expressions import EvaluationError
 from fuzzybvp.fuzzy import TriangularFuzzyNumber
 from fuzzybvp.ode import (
     KRONECKER_TOL,
@@ -29,24 +31,28 @@ EX2_ODE = LinearODE.from_strings(2, ["0", "16"], "47 - 8*t^2")
 
 def rk4_loop(ode, initial_state, grid):
     """Reference: classical RK4 on the companion system, one step at a
-    time, with scalar coefficient evaluation at every stage time."""
+    time.  The coefficients are evaluated beforehand at the stage times
+    t_j, t_j + h/2 and t_j + h of every step."""
     n = ode.order
     h = grid.step
+    starts = grid.t0 + h * np.arange(grid.num_points - 1)
+    stages = [([c.evaluate(t).tolist() for c in ode.coeffs], ode.forcing.evaluate(t).tolist())
+              for t in (starts, starts + 0.5 * h, starts + h)]
 
-    def rhs(t, s):
+    def rhs(stage, j, s):
+        coeffs, forcing = stages[stage]
         d = np.empty(n)
         d[:-1] = s[1:]
-        d[-1] = ode.forcing.evaluate(t) - sum(
-            c.evaluate(t) * s[n - 1 - i] for i, c in enumerate(ode.coeffs))
+        d[-1] = forcing[j] - sum(coeffs[i][j] * s[n - 1 - i] for i in range(n))
         return d
 
     states = [np.array(initial_state, dtype=float)]
     for j in range(grid.num_points - 1):
-        t, s = grid.t0 + j * h, states[-1]
-        d1 = rhs(t, s)
-        d2 = rhs(t + 0.5 * h, s + 0.5 * h * d1)
-        d3 = rhs(t + 0.5 * h, s + 0.5 * h * d2)
-        d4 = rhs(t + h, s + h * d3)
+        s = states[-1]
+        d1 = rhs(0, j, s)
+        d2 = rhs(1, j, s + 0.5 * h * d1)
+        d3 = rhs(1, j, s + 0.5 * h * d2)
+        d4 = rhs(2, j, s + h * d3)
         states.append(s + h / 6.0 * (d1 + 2.0 * (d2 + d3) + d4))
     return np.array(states)
 
@@ -56,7 +62,15 @@ VARIABLE_ODES = {
     2: LinearODE.from_strings(2, ["sin(t)", "1 + t^2"], "t^3 - sqrt(1 + t)"),
     4: LinearODE.from_strings(4, ["sin(t)", "1 + t^2", "exp(-t)", "-2*cos(3*t)"],
                               "t^3 - sqrt(1 + t)"),
+    5: LinearODE.from_strings(5, ["sin(t)", "1 + t^2", "exp(-t)", "-2*cos(3*t)", "t/4 - 1"],
+                              "t^3 - sqrt(1 + t)"),
 }
+
+# 200 steps leave the scan's last block short (blocks of 3), 64 fill every
+# block (of 2), 8 and 16 make blocks of one step (16 is the first count with
+# steps // 16 = 1), 1 and 2 steps are the smallest grids, and the prime
+# 1009 points make 144 blocks of 7 steps
+EDGE_POINTS = [201, 65, 9, 2, 3, 17, 1009]
 
 
 def analytic_trajectory(grid, fn, dfn):
@@ -97,6 +111,18 @@ class TestIntegrateIvp:
         with pytest.raises(IntegrationError, match="node"):
             integrate_ivp(ode, [1.0], grid)
 
+    @pytest.mark.parametrize("num_points", [1001, 1009])
+    def test_domain_error_names_the_first_offending_stage_time(self, num_points):
+        # the scan lays the lattice out block by block; the error must still
+        # name the earliest stage time, as a time-ordered evaluation would
+        ode = LinearODE.from_strings(2, ["0", "sqrt(0.55 - t)"], "0")
+        grid = TimeGrid(0.0, 1.0, num_points)
+        half = grid.t0 + 0.5 * grid.step * np.arange(2 * grid.num_points - 1)
+        first = half[np.flatnonzero(0.55 - half < 0.0)[0]]
+        with pytest.raises(EvaluationError, match="sqrt of negative") as info:
+            integrate_ivp(ode, [1.0, 0.0], grid)
+        assert info.value.t == first
+
     def test_wrong_state_length_rejected(self):
         with pytest.raises(ValueError, match="2 components"):
             integrate_ivp(EX1_ODE, [1.0], TimeGrid(0.0, 1.0, 11))
@@ -114,10 +140,8 @@ class TestIntegrateIvp:
         with pytest.raises(ValueError, match="outside"):
             traj.value(1.5)
 
-    # 200 steps leave the scan's last block short, 64 fill every block,
-    # and 8 make blocks of one step
-    @pytest.mark.parametrize("num_points", [201, 65, 9])
-    @pytest.mark.parametrize("order", [1, 2, 4])
+    @pytest.mark.parametrize("num_points", EDGE_POINTS)
+    @pytest.mark.parametrize("order", [1, 2, 4, 5])
     def test_step_map_scan_matches_plain_rk4_loop(self, order, num_points):
         ode = VARIABLE_ODES[order]
         grid = TimeGrid(0.0, 2.0, num_points)
@@ -135,8 +159,8 @@ class TestFusedScan:
     """One scan of the augmented identity: columns 0..n-1 are the basis,
     column n the particular solution from a zero state."""
 
-    @pytest.mark.parametrize("num_points", [201, 65, 9])
-    @pytest.mark.parametrize("order", [1, 2, 4])
+    @pytest.mark.parametrize("num_points", EDGE_POINTS)
+    @pytest.mark.parametrize("order", [1, 2, 4, 5])
     def test_columns_match_plain_rk4_loops(self, order, num_points):
         ode = VARIABLE_ODES[order]
         grid = TimeGrid(0.0, 2.0, num_points)
@@ -155,7 +179,7 @@ class TestFusedScan:
                 slope = exp[:, 1]
             assert np.max(np.abs(slopes[:, i] - slope)) <= 1e-10 * max(scale, 1.0)
 
-    @pytest.mark.parametrize("order", [1, 2, 4])
+    @pytest.mark.parametrize("order", [1, 2, 4, 5])
     def test_basis_columns_ignore_the_forcing_bit_for_bit(self, order):
         ode = VARIABLE_ODES[order]
         grid = TimeGrid(0.0, 2.0, 201)
@@ -193,15 +217,42 @@ class TestFusedScan:
         assert np.max(np.abs(solution.crisp.states - states)) <= tol * scale
         assert np.max(np.abs(solution.crisp.slopes - slopes)) <= tol * scale
 
+    @pytest.mark.parametrize("num_points", [1001, 100001])
+    def test_example1_exponentials_within_rk4_bound(self, num_points):
+        # e^t and e^2t from one scan.  RK4's global relative error for
+        # x' = lam x on [0, 1] is about lam^5 h^4 / 120 <= 0.27 h^4; rounding
+        # over 1e5 steps adds some 3e-13.
+        grid = TimeGrid(0.0, 1.0, num_points)
+        initial = np.array([[1.0, 1.0], [1.0, 2.0], [0.0, 0.0]])
+        states, _ = _propagate(EX1_ODE.homogeneous(), grid, initial)
+        t = grid.nodes()
+        tol = 0.5 * grid.step ** 4 + 1e-12
+        for col, lam in enumerate((1.0, 2.0)):
+            exact = np.exp(lam * t)
+            assert np.max(np.abs(states[:, 0, col] / exact - 1.0)) <= tol
+            assert np.max(np.abs(states[:, 1, col] / (lam * exact) - 1.0)) <= tol
+
+    def test_memory_stays_a_small_multiple_of_the_states(self):
+        # the coefficient lattice, the in-block states (kept where the node
+        # states go) and expression temporaries: about 2.1x the output
+        grid = TimeGrid(0.0, 1.0, 100001)
+        tracemalloc.start()
+        try:
+            states, _ = _propagate(EX1_ODE, grid, np.eye(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * states.nbytes
+
     def test_one_scan_per_solve(self, monkeypatch):
         calls = []
-        scan = ode_module._scan_step_maps
+        scan = ode_module._rk4_scan
 
         def counting(*args):
             calls.append(1)
             return scan(*args)
 
-        monkeypatch.setattr(ode_module, "_scan_step_maps", counting)
+        monkeypatch.setattr(ode_module, "_rk4_scan", counting)
         grid = TimeGrid(0.0, 1.0, 101)
         conds = ((0.0, TriangularFuzzyNumber(1.5, 2.0, 3.0)),
                  (1.0, TriangularFuzzyNumber(2.0, 3.0, 4.0)))

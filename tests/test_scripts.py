@@ -1,4 +1,6 @@
-"""The scripts under scripts/ run end to end from a source checkout."""
+"""The scripts under scripts/ run end to end from a source checkout and
+print exactly the stored output in tests/data/ (byte for byte, so a kernel
+change that moves a printed digit shows up here)."""
 
 import os
 import subprocess
@@ -14,7 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_script_runs_and_prints(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run([sys.executable, str(ROOT / "scripts" / script)], cwd=ROOT,
-                            env=env, capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip()
-    assert result.stderr == ""
+                            env=env, capture_output=True, timeout=120)
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stderr == b""
+    assert result.stdout == (ROOT / "tests" / "data" / script).with_suffix(".out").read_bytes()
