@@ -22,7 +22,6 @@ import argparse
 import copy
 import functools
 import json
-import math
 import re
 import sys
 from dataclasses import dataclass
@@ -146,7 +145,7 @@ def problem_from_document(doc) -> tuple[FuzzyBVP, OutputOptions]:
             except ExpressionError as exc:
                 fail("equation.forcing", str(exc))
 
-    t0 = t_end = None
+    t0 = t_end = grid = None
     interval = doc.get("interval")
     if not isinstance(interval, dict):
         fail("interval", "required object is missing or not an object")
@@ -162,10 +161,11 @@ def problem_from_document(doc) -> tuple[FuzzyBVP, OutputOptions]:
             fail("interval.T", "must be a number")
         else:
             t_end = float(interval["T"])
-        if t0 is not None and t_end is not None and not t_end > t0:
-            fail("interval", f"need T > t0, got [{t0}, {t_end}]")
-        elif t0 is not None and t_end is not None and not math.isfinite(t_end - t0):
-            fail("interval", f"length T - t0 must be finite, got [{t0}, {t_end}]")
+        if t0 is not None and t_end is not None:
+            try:
+                grid = TimeGrid(t0, t_end, DEFAULT_STEPS + 1)
+            except ValueError as exc:  # the file calls t_end T
+                fail("interval", str(exc).replace("t_end", "T"))
 
     parsed_conditions = []
     conditions = doc.get("conditions")
@@ -229,7 +229,6 @@ def problem_from_document(doc) -> tuple[FuzzyBVP, OutputOptions]:
         raise ProblemFormatError(errors)
 
     ode = LinearODE(order, tuple(coeff_exprs), forcing_expr)
-    grid = TimeGrid(t0, t_end, DEFAULT_STEPS + 1)
     try:
         problem = FuzzyBVP(ode, tuple(parsed_conditions), grid)
     except ValueError as exc:

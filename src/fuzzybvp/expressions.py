@@ -11,13 +11,16 @@ Grammar (recursive descent, whitespace ignored):
              | '(' sum ')'
 
 '^' binds tighter than unary minus, so "-2^2" means -(2^2).  Numeric
-literals accept decimal and scientific notation.
+literals accept decimal and scientific notation in decimal digits; any
+other digit character, such as "²", is a syntax error with a column.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,51 +163,33 @@ class FunctionCall(Expression):
         return f"{self.name}({self.arg.to_text()})"
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "number" | "name" | one of "+-*/^()" | "end"
     text: str
     position: int
 
 
+# \d is the decimal digits float() reads; a digit that is not decimal, such
+# as "²", is a letter of a name here and so a syntax error in the parser.
+_TOKEN = re.compile(r"""
+    \s*(?:
+        (?P<number> (?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)? )
+      | (?P<name> [^\W\d]\w* )
+      | (?P<op> [-+*/^()] )
+      | (?P<end> \Z )
+    )""", re.VERBOSE)
+
+
 def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*/^()":
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            if i < n and text[i] == ".":
-                i += 1
-                while i < n and text[i].isdigit():
-                    i += 1
-            if i < n and text[i] in "eE":
-                j = i + 1
-                if j < n and text[j] in "+-":
-                    j += 1
-                if j < n and text[j].isdigit():
-                    i = j
-                    while i < n and text[i].isdigit():
-                        i += 1
-            tokens.append(_Token("number", text[start:i], start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(_Token("name", text[start:i], start))
-            continue
-        raise ExpressionSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", n))
+    tokens, pos = [], 0
+    while not tokens or tokens[-1].kind != "end":
+        match = _TOKEN.match(text, pos)
+        if match is None:
+            pos = len(text) - len(text[pos:].lstrip())
+            raise ExpressionSyntaxError(f"unexpected character {text[pos]!r}", pos)
+        group, pos = match.lastgroup, match.end()
+        token = match[group]
+        tokens.append(_Token(token if group == "op" else group, token, match.start(group)))
     return tokens
 
 

@@ -177,7 +177,7 @@ class ParametricFuzzyNumber:
 
     @property
     def vertex(self) -> float:
-        return 0.5 * (self.lower[-1] + self.upper[-1])
+        return 0.5 * self.lower[-1] + 0.5 * self.upper[-1]  # no overflow near the float max
 
     def alpha_cut(self, alpha: float) -> Interval:
         alpha = _check_alpha(alpha)

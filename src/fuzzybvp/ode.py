@@ -86,6 +86,10 @@ class TimeGrid:
             raise ValueError(f"length t_end - t0 must be finite, got [{self.t0}, {self.t_end}]")
         if self.num_points < 2:
             raise ValueError(f"need at least 2 grid points, got {self.num_points}")
+        spacing = np.spacing(float(max(abs(self.t0), abs(self.t_end))))
+        if not 0.5 * self.step > spacing:
+            raise ValueError(f"{self.num_points} points on [{self.t0}, {self.t_end}]: half a "
+                             f"step must exceed the float spacing {spacing:.3g} at the ends")
 
     @property
     def step(self) -> float:
@@ -280,9 +284,13 @@ def boundary_matrix(basis: Sequence[Trajectory], points: Sequence[float]) -> np.
     return np.column_stack([traj.value(points) for traj in basis])
 
 
-def require_invertible(mat: np.ndarray) -> None:
-    """Scale-invariant singularity test; raises NonUniqueCrispSolution."""
+def require_invertible(mat: np.ndarray, length: float) -> None:
+    """Singularity test on the boundary matrix of a basis over an interval of
+    ``length``, with column j scaled by length^-j (basis column j grows like
+    length^j / j!), so that the verdict depends on neither the length nor the
+    scale of the values; raises NonUniqueCrispSolution."""
     n = mat.shape[0]
+    mat = mat * float(length) ** -np.arange(n)
     det = float(np.linalg.det(mat))
     scale = float(np.abs(mat).sum(axis=1).max()) ** n
     if abs(det) <= SINGULARITY_RTOL * scale:
@@ -323,14 +331,15 @@ def weight_functions(basis: Sequence[Trajectory], boundary_points: Sequence[floa
     basis = tuple(basis)
     points = tuple(float(p) for p in boundary_points)
     mat = boundary_matrix(basis, points)
-    require_invertible(mat)
+    grid = basis[0].grid
+    require_invertible(mat, grid.t_end - grid.t0)
     values = np.column_stack([traj.values for traj in basis])
     slopes = np.column_stack([traj.slopes for traj in basis])
     weights = np.linalg.solve(mat.T, values.T).T.copy()
     weight_slopes = np.linalg.solve(mat.T, slopes.T).T.copy()
     for arr in (weights, weight_slopes):
         arr.flags.writeable = False
-    wb = WeightBasis(basis[0].grid, points, weights, weight_slopes)
+    wb = WeightBasis(grid, points, weights, weight_slopes)
     miss = np.abs(wb.weight_at(np.array(points)) - np.eye(len(points))).max(axis=1)
     for p, r in zip(points, miss):
         if r > KRONECKER_TOL:
@@ -377,11 +386,14 @@ def _basis_and_crisp(ode: LinearODE, grid: TimeGrid, points: Sequence[float],
     n = ode.order
     states, slopes = _propagate(ode, grid, np.eye(n + 1))
     at_points = _hermite(grid, states[:, 0], slopes, np.array(points, dtype=float))
-    require_invertible(at_points[:, :n])
+    require_invertible(at_points[:, :n], grid.t_end - grid.t0)
     coefficients = np.linalg.solve(at_points[:, :n], values - at_points[:, n])
-    combination = np.einsum("kij,j->ki", states[:, :, :n], coefficients)  # not a strided matmul
-    crisp = Trajectory(grid, states[:, :, n] + combination,
-                       slopes[:, n] + slopes[:, :n] @ coefficients)
+    # einsum, not a strided matmul; overflow is left to the Trajectory's
+    # finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        combination = np.einsum("kij,j->ki", states[:, :, :n], coefficients)
+        crisp = Trajectory(grid, states[:, :, n] + combination,
+                           slopes[:, n] + slopes[:, :n] @ coefficients)
     return tuple(Trajectory(grid, states[:, :, i], slopes[:, i]) for i in range(n)), crisp
 
 

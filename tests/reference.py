@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from fuzzybvp import TriangularFuzzyNumber
+from fuzzybvp.expressions import ExpressionSyntaxError
 from fuzzybvp.ode import LinearODE, TimeGrid
 from fuzzybvp.oracle import _interior_coefficients
 from fuzzybvp.solver import FuzzyBVP, solve_fuzzy_bvp
@@ -176,3 +177,51 @@ def band_to_json(band):
         ],
     }
     return json.dumps(round_tree(doc), indent=2) + "\n"
+
+
+# --- Character-loop tokenizer ---------------------------------------------
+# The expression scanner as it was before the regular-expression tokenizer.
+# Both must give the same (kind, text, position) tokens, or the same error,
+# on every string without a numeric character that is not a decimal digit
+# (this scanner reads "²" into a number, which float() then rejects).
+
+
+def tokenize(text):
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "+-*/^()":
+            tokens.append((ch, ch, i))
+            i += 1
+            continue
+        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
+            start = i
+            while i < n and text[i].isdigit():
+                i += 1
+            if i < n and text[i] == ".":
+                i += 1
+                while i < n and text[i].isdigit():
+                    i += 1
+            if i < n and text[i] in "eE":
+                j = i + 1
+                if j < n and text[j] in "+-":
+                    j += 1
+                if j < n and text[j].isdigit():
+                    i = j
+                    while i < n and text[i].isdigit():
+                        i += 1
+            tokens.append(("number", text[start:i], start))
+            continue
+        if ch.isalpha() or ch == "_":
+            start = i
+            while i < n and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+            tokens.append(("name", text[start:i], start))
+            continue
+        raise ExpressionSyntaxError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", "", n))
+    return tokens

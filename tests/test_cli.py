@@ -554,3 +554,158 @@ def test_percent_format_matches_f_string_for_every_float64(bits):
 def test_to_json_series_matches_json_module_for_every_float64(bits):
     x = struct.unpack("<d", struct.pack("<Q", bits))[0]
     assert _to_json(np.array([x])) == json.dumps([float(f"{x:.12g}")], indent=2)
+
+
+DELETE = object()
+
+
+@pytest.mark.parametrize("path, value, error", [
+    (("extra",), 1, "extra: unknown field"),
+    (("equation", "extra"), 1, "equation.extra: unknown field"),
+    (("interval", "extra"), 1, "interval.extra: unknown field"),
+    (("output", "extra"), 1, "output.extra: unknown field"),
+    (("equation",), DELETE, "equation: required object is missing or not an object"),
+    (("interval",), DELETE, "interval: required object is missing or not an object"),
+    (("conditions",), DELETE, "conditions: required list is missing or not a list"),
+    (("equation", "order"), 0, "equation.order: must be a positive integer, got 0"),
+    (("equation", "order"), True, "equation.order: must be a positive integer, got True"),
+    (("equation", "order"), "2", "equation.order: must be a positive integer, got '2'"),
+    (("equation", "coeffs"), ["-3", 2], "equation.coeffs: must be a list of expression strings"),
+    (("equation", "coeffs"), "-3", "equation.coeffs: must be a list of expression strings"),
+    (("equation", "coeffs"), ["-3"], "equation.coeffs: expected 2 coefficients, got 1"),
+    (("equation", "forcing"), 4, "equation.forcing: must be an expression string"),
+    (("interval", "t0"), "0", "interval.t0: must be a number"),
+    (("interval", "T"), 0, "interval: need T > t0, got [0.0, 0.0]"),
+    (("interval", "T"), -1, "interval: need T > t0, got [0.0, -1.0]"),
+    (("conditions", 0), 5, "conditions[0]: must be an object with fields t and value"),
+    (("output",), [], "output: must be an object"),
+    (("output", "points"), 1, "output.points: must be an integer >= 2, got 1"),
+    (("output", "points"), 2.5, "output.points: must be an integer >= 2, got 2.5"),
+    (("output", "alphas"), [0, 2], "output.alphas: must be a non-empty list of levels in [0, 1]"),
+    (("output", "alphas"), [], "output.alphas: must be a non-empty list of levels in [0, 1]"),
+    (("output", "alphas"), "0", "output.alphas: must be a non-empty list of levels in [0, 1]"),
+])
+def test_validation_messages_name_the_json_path(path, value, error):
+    doc = example_problem_document(1)
+    *parents, key = path
+    target = doc
+    for part in parents:
+        target = target[part]
+    if value is DELETE:
+        del target[key]
+    else:
+        target[key] = value
+    with pytest.raises(ProblemFormatError) as info:
+        problem_from_document(doc)
+    assert error in info.value.errors
+
+
+@pytest.mark.parametrize("doc", [[], "problem", 3, None])
+def test_document_that_is_not_an_object(doc):
+    with pytest.raises(ProblemFormatError) as info:
+        problem_from_document(doc)
+    assert info.value.errors == ["$: problem file must be a JSON object"]
+
+
+def test_errors_in_three_sections_are_all_reported(tmp_path, capsys):
+    doc = example_problem_document(1)
+    doc["equation"]["forcing"] = "4*t -"
+    doc["interval"]["t0"] = "zero"
+    doc["output"]["alphas"] = [1.5]
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli(["solve", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "invalid problem file:",
+        "  equation.forcing: expected a value, found end of input (column 6)",
+        "  interval.t0: must be a number",
+        "  output.alphas: must be a non-empty list of levels in [0, 1]",
+    ]
+
+
+def test_unknown_built_in_example():
+    with pytest.raises(ValueError) as info:
+        example_problem_document(3)
+    assert str(info.value) == "no built-in example 3; choose 1 or 2"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "{path}", "--alphas", "0,2"],
+     "argument --alphas: alpha levels must lie in [0, 1]: '0,2'"),
+    (["verify", "{path}", "--tolerance", "abc"], "argument --tolerance: not a number: 'abc'"),
+])
+def test_flag_validation_messages(tmp_path, capsys, argv, message):
+    path = write_example(tmp_path, 1)
+    assert run_cli([arg.format(path=path) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: {message}\n")
+
+
+def test_digit_that_is_not_decimal_is_a_field_error(tmp_path, capsys):
+    doc = example_problem_document(1)
+    doc["equation"]["coeffs"][0] = "2²"
+    doc["equation"]["forcing"] = "bad("
+    path = tmp_path / "superscript.json"
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    assert run_cli(["solve", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "invalid problem file:",
+        "  equation.coeffs[0]: unexpected trailing input '²' (column 2)",
+        "  equation.forcing: unknown identifier 'bad' (column 1)",
+    ]
+
+
+def straight_line_document(order, t0, length):
+    """x^(n) = 0 with crisp values of the line 1 + (t - t0) / length at n
+    equally spaced points."""
+    points = [t0 + length * k / (order - 1) for k in range(order)]
+    return {
+        "equation": {"order": order, "coeffs": ["0"] * order, "forcing": "0"},
+        "interval": {"t0": t0, "T": points[-1]},
+        "conditions": [{"t": p, "value": {"type": "triangular", "l": v, "m": v, "r": v}}
+                       for p, v in zip(points, (1 + k / (order - 1) for k in range(order)))],
+        "output": {"points": 5, "alphas": [1]},
+    }
+
+
+class TestIntervalLength:
+    @pytest.mark.parametrize("order, length", [(2, 1e-12), (2, 1e4), (4, 1e-4), (4, 1e3)])
+    def test_straight_line_solves_on_any_length(self, tmp_path, capsys, order, length):
+        path = tmp_path / "line.json"
+        path.write_text(json.dumps(straight_line_document(order, 0.0, length)),
+                        encoding="utf-8")
+        assert run_cli(["solve", str(path)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        values = np.array([[float(cell) for cell in row.split(",")] for row in rows])
+        np.testing.assert_allclose(values[:, 1], 1 + values[:, 0] / length, rtol=1e-11)
+        np.testing.assert_array_equal(values[:, 1], values[:, 2])
+
+    def test_grid_finer_than_float_resolution_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "fine.json"
+        path.write_text(json.dumps(straight_line_document(2, 5.0, 1e-12)), encoding="utf-8")
+        assert run_cli(["solve", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "invalid problem file:" and len(err) == 2
+        assert err[1].startswith("  interval: 1001 points on [5.0, 5.000000000001]: half a "
+                                 "step must exceed the float spacing 8.88e-16")
+
+    def test_short_interval_at_five_solves(self, tmp_path, capsys):
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(straight_line_document(2, 5.0, 1e-11)), encoding="utf-8")
+        assert run_cli(["solve", str(path)]) == 0
+
+
+@pytest.mark.parametrize("value", [
+    {"type": "parametric", "alphas": [0, 1], "lower": [1e308, 1.5e308],
+     "upper": [1.7e308, 1.5e308]},
+    {"type": "triangular", "l": 1e308, "m": 1.5e308, "r": 1.7e308},
+])
+def test_values_near_the_float_max_exit_1_with_one_line(tmp_path, capsys, value):
+    doc = example_problem_document(1)
+    doc["conditions"][0]["value"] = value
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["solve", str(path)]) == 1
+    assert capsys.readouterr().err == "error: trajectory contains non-finite entries\n"

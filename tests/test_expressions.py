@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference
 from fuzzybvp.expressions import (
     EvaluationError,
     ExpressionSyntaxError,
     UnknownIdentifierError,
+    _tokenize,
     parse,
 )
 
@@ -191,3 +193,45 @@ def test_array_errors_name_the_first_offending_t(text, times, message, first):
         parse(text).evaluate(np.array(times))
     assert info.value.t == first
     assert f"at t = {first:g}" in str(info.value)
+
+
+# Decimal digits (ASCII and Arabic-Indic), letters, the number and operator
+# characters, white space and a character outside the grammar; "²" and "½"
+# are numeric without being decimal digits.
+TOKENIZER_ALPHABET = "0123456789٣xté_.eE+-*/^() \t $²½"
+
+
+def tokens_or_error(tokenize, text):
+    try:
+        return [tuple(token) for token in tokenize(text)]
+    except ExpressionSyntaxError as exc:
+        return type(exc), str(exc)
+
+
+@given(st.text(TOKENIZER_ALPHABET, max_size=12))
+def test_tokenizer_matches_the_character_loop(text):
+    if any(c.isnumeric() and not c.isdecimal() for c in text):
+        # the character loop read "²" into a number that float() rejects
+        with pytest.raises(ExpressionSyntaxError, match=r"\(column \d+\)$"):
+            parse(text)
+    else:
+        assert tokens_or_error(_tokenize, text) == tokens_or_error(reference.tokenize, text)
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("2²", ExpressionSyntaxError, "unexpected trailing input '²' (column 2)"),
+    ("x²", UnknownIdentifierError, "unknown identifier 'x²' (column 1)"),
+    (".²", ExpressionSyntaxError, "unexpected character '.' (column 1)"),
+    ("1e²", ExpressionSyntaxError, "unexpected trailing input 'e²' (column 2)"),
+    ("½", UnknownIdentifierError, "unknown identifier '½' (column 1)"),
+    ("t + ²", UnknownIdentifierError, "unknown identifier '²' (column 5)"),
+])
+def test_digit_that_is_not_decimal_is_a_syntax_error_with_a_column(text, error, message):
+    with pytest.raises(error) as info:
+        parse(text)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_decimal_digits_of_any_script_are_numbers():
+    assert parse("٣*t").evaluate(2.0) == 6.0
+    assert parse("١.٥e١").evaluate(0.0) == 15.0

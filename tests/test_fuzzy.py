@@ -341,3 +341,61 @@ def test_split_requires_unique_vertex():
     # trapezoids cannot even be constructed
     with pytest.raises(ValueError, match="unique vertex"):
         ParametricFuzzyNumber([0.0, 1.0], [0.0, 0.5], [2.0, 1.5])
+
+
+# --- validation messages -------------------------------------------------
+
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Interval(0.0, INF), "interval endpoints must be finite, got [0.0, inf]"),
+    (lambda: Interval(NAN, 1.0), "interval endpoints must be finite, got [nan, 1.0]"),
+    (lambda: TriangularFuzzyNumber(0.0, 1.0, INF),
+     "triangular fuzzy number requires finite left, peak, right"),
+    (lambda: ParametricFuzzyNumber([[0.0, 1.0]], [[0.0, 1.0]], [[2.0, 1.0]]),
+     "alpha grid must be one-dimensional with at least 2 levels"),
+    (lambda: ParametricFuzzyNumber([1.0], [1.0], [1.0]),
+     "alpha grid must be one-dimensional with at least 2 levels"),
+    (lambda: ParametricFuzzyNumber([0.0, 1.0], [NAN, 1.0], [2.0, 1.0]),
+     "alpha grid and branches must be finite"),
+    (lambda: ParametricFuzzyNumber([0.0, 0.0, 1.0], [0.0, 0.5, 1.0], [2.0, 1.5, 1.0]),
+     "alpha grid must be strictly increasing"),
+    # each step down stays inside the monotonicity tolerance, yet the lower
+    # branch ends up above the upper one at alpha = 0.25
+    (lambda: ParametricFuzzyNumber([0.0, 0.25, 0.5, 0.75, 1.0],
+                                   [0.0, 1 + 2.7e-12, 1 + 1.8e-12, 1 + 0.9e-12, 1.0],
+                                   [2.0, 1.0, 1.0, 1.0, 1.0]),
+     "lower branch must not exceed upper branch"),
+])
+def test_validation_messages(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_cut_of_crossing_branches_collapses_to_their_midpoint():
+    # inside the vertex tolerance the branches may cross by 5e-13 at alpha = 1
+    u = ParametricFuzzyNumber([0.0, 1.0], [0.0, 1.0 + 5e-13], [2.0, 1.0])
+    middle = 0.5 * ((1.0 + 5e-13) + 1.0)
+    assert u.alpha_cut(1.0) == Interval(middle, middle)
+
+
+# halving is exact for these floats and their sum stays below the float max
+normal_range = st.floats(min_value=-8e307, max_value=8e307).filter(
+    lambda x: x == 0.0 or abs(x) >= 4 * np.finfo(float).tiny)
+
+
+@given(normal_range, st.floats(min_value=-1e-12, max_value=1e-12))
+def test_vertex_equals_the_halved_sum_bit_for_bit(top, gap):
+    lower_top, upper_top = top, top + gap
+    assume(abs(upper_top) <= 8e307 and abs(lower_top - upper_top) <= 1e-12)
+    assume(upper_top == 0.0 or abs(upper_top) >= 4 * np.finfo(float).tiny)
+    u = ParametricFuzzyNumber([0.0, 1.0], [min(lower_top, upper_top) - 1.0, lower_top],
+                              [max(lower_top, upper_top) + 1.0, upper_top])
+    assert np.float64(u.vertex).tobytes() == np.float64(0.5 * (lower_top + upper_top)).tobytes()
+
+
+def test_vertex_of_branches_meeting_near_the_float_max_is_finite():
+    u = ParametricFuzzyNumber([0.0, 1.0], [1e308, 1.5e308], [1.7e308, 1.5e308])
+    assert u.vertex == 1.5e308

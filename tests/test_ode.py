@@ -6,7 +6,7 @@ import pytest
 
 import reference
 from fuzzybvp import ode as ode_module
-from fuzzybvp.expressions import EvaluationError
+from fuzzybvp.expressions import ZERO, EvaluationError
 from fuzzybvp.fuzzy import TriangularFuzzyNumber
 from fuzzybvp.ode import (
     KRONECKER_TOL,
@@ -483,3 +483,69 @@ class TestNumericalQuality:
 
         ratio = sup_error(40) / sup_error(80)
         assert 12.0 <= ratio <= 20.0
+
+
+class TestIntervalLength:
+    """The singularity test gives the same verdict on any interval length."""
+
+    @pytest.mark.parametrize("order, length", [
+        (2, 1e-12), (2, 1e-6), (2, 1.0), (2, 1e4),
+        (4, 1e-4), (4, 1.0), (4, 100.0), (4, 1e3),
+    ])
+    def test_straight_line_solves_on_any_length(self, order, length):
+        # x^(n) = 0 through n equally spaced points of the line 1 + t / L;
+        # a determinant test on the unscaled columns calls L = 1e-12
+        # (order 2) and L = 1e-4 and 1e3 (order 4) singular
+        ode = LinearODE.from_strings(order, ["0"] * order, "0")
+        points = [length * k / (order - 1) for k in range(order)]
+        conditions = [(p, TriangularFuzzyNumber(0.5 + p / length, 1 + p / length,
+                                                1.5 + p / length)) for p in points]
+        grid = TimeGrid(0.0, length, 1001)
+        solution = solve_fuzzy_bvp(FuzzyBVP(ode, conditions, grid))
+        assert np.max(np.abs(solution.crisp.values - (1 + grid.nodes() / length))) <= 2e-15
+
+    @pytest.mark.parametrize("length", [1e-3, 1.0, 100.0])
+    def test_resonance_is_singular_on_any_length(self, length):
+        # x'' + (pi/L)^2 x = 0 with points 0 and L: sin vanishes at both
+        ode = LinearODE.from_strings(2, ["0", f"(pi/{length!r})^2"], "0")
+        basis = homogeneous_basis(ode, TimeGrid(0.0, length, 1001))
+        with pytest.raises(NonUniqueCrispSolution, match="numerically singular"):
+            weight_functions(basis, [0.0, length])
+        with pytest.raises(NonUniqueCrispSolution, match="numerically singular"):
+            solve_crisp_bvp(ode, [(0.0, 1.0), (length, 1.0)], TimeGrid(0.0, length, 1001))
+
+    def test_grid_finer_than_float_resolution_rejected(self):
+        # h/2 = 5e-16 lies below the float spacing at 5 (8.9e-16)
+        with pytest.raises(ValueError, match=r"half a step must exceed the float spacing "
+                                             r"8\.88e-16 at the ends"):
+            TimeGrid(5.0, 5.0 + 1e-12, 1001)
+
+    def test_grid_on_a_short_interval_at_five_accepted(self):
+        # h/2 = 5e-15 is above the float spacing at 5
+        ode = LinearODE.from_strings(2, ["0", "0"], "0")
+        grid = TimeGrid(5.0, 5.0 + 1e-11, 1001)
+        assert solve_crisp_bvp(ode, [(5.0, 1.0), (grid.t_end, 2.0)], grid).grid == grid
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: LinearODE(0, (), ZERO), "order must be a positive integer, got 0"),
+    (lambda: LinearODE(2, (ZERO,), ZERO), "expected 2 coefficient expressions, got 1"),
+    (lambda: TimeGrid(1.0, 1.0, 11), "need t_end > t0, got [1.0, 1.0]"),
+    (lambda: TimeGrid(1.0, 0.0, 11), "need t_end > t0, got [1.0, 0.0]"),
+    (lambda: TimeGrid(0.0, 1.0, 1), "need at least 2 grid points, got 1"),
+    (lambda: Trajectory(TimeGrid(0.0, 1.0, 3), np.zeros((2, 2)), np.zeros(3)),
+     "states must have one row per grid node"),
+    (lambda: Trajectory(TimeGrid(0.0, 1.0, 3), np.zeros(3), np.zeros(3)),
+     "states must have one row per grid node"),
+    (lambda: Trajectory(TimeGrid(0.0, 1.0, 3), np.zeros((3, 2)), np.zeros(2)),
+     "slopes must hold one value per grid node"),
+    (lambda: Trajectory(TimeGrid(0.0, 1.0, 3), np.zeros((3, 2)), [0.0, np.inf, 0.0]),
+     "trajectory contains non-finite entries"),
+    (lambda: Trajectory(TimeGrid(0.0, 1.0, 3), [[0.0, 0.0], [np.nan, 0.0], [0.0, 0.0]],
+                        np.zeros(3)),
+     "trajectory contains non-finite entries"),
+])
+def test_validation_messages(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message

@@ -83,6 +83,15 @@ class TestFdSolve:
         with pytest.raises(ValueError, match="interior points"):
             FDMesh(0.0, 1.0, 2)
 
+    @pytest.mark.parametrize("t0, t_end, message", [
+        (1.0, 1.0, "need t_end > t0, got [1.0, 1.0]"),
+        (1.0, 0.0, "need t_end > t0, got [1.0, 0.0]"),
+    ])
+    def test_mesh_needs_t_end_above_t0(self, t0, t_end, message):
+        with pytest.raises(ValueError) as info:
+            FDMesh(t0, t_end, 3)
+        assert str(info.value) == message
+
 
 def formula_band_on_mesh(solution, alpha, mesh):
     grid = TimeGrid(mesh.t0, mesh.t_end, mesh.interior_points + 2)

@@ -10,7 +10,7 @@ import reference
 from fuzzybvp import fuzzy
 from fuzzybvp.fuzzy import ParametricFuzzyNumber, TriangularFuzzyNumber
 from fuzzybvp.ode import LinearODE, TimeGrid, solve_crisp_bvp
-from fuzzybvp.solver import FuzzyBVP, FuzzySolution, solve_fuzzy_bvp
+from fuzzybvp.solver import FuzzyBVP, FuzzySolution, SolutionBand, solve_fuzzy_bvp
 
 
 class TestProblemValidation:
@@ -317,3 +317,27 @@ def test_crisp_trajectory_inside_every_cut(t):
     for alpha in (0.0, 0.5, 1.0):
         cut = solution.value_at(t, alpha)
         assert cut.lo - 1e-12 <= value <= cut.hi + 1e-12
+
+
+def zero_band(solution, lower=None, upper=None):
+    """A one-level band of zeros on the solution grid, with either array replaced."""
+    shape = (1, solution.grid.num_points)
+    return SolutionBand(solution.grid, (0.0,),
+                        np.zeros(shape) if lower is None else lower,
+                        np.zeros(shape) if upper is None else upper)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda s: zero_band(s, lower=np.zeros((2, 1001))),
+     "band arrays must be (num_levels, num_points)"),
+    (lambda s: zero_band(s, upper=np.zeros((1, 1000))),
+     "band arrays must be (num_levels, num_points)"),
+    (lambda s: FuzzySolution(s.crisp, s.weight_basis, s.uncertain_parts[:1],
+                             s.crisp_boundary_values),
+     "one uncertain part per weight function is required"),
+    (lambda s: s.band([]), "at least one alpha level is required"),
+])
+def test_validation_messages(solution1, build, message):
+    with pytest.raises(ValueError) as info:
+        build(solution1)
+    assert str(info.value) == message
