@@ -364,8 +364,13 @@ def cmd_solve(args) -> int:
     problem, output = problem_from_document(_read_document(args.problem))
     alphas = args.alphas if args.alphas is not None else output.alphas
     points = args.points if args.points is not None else output.points
+    try:
+        out_grid = TimeGrid(problem.grid.t0, problem.grid.t_end, points)
+    except ValueError as exc:  # too fine for float resolution on this interval
+        if args.points is not None:
+            raise ValueError(f"argument --points: {exc}") from None
+        raise ProblemFormatError([f"output.points: {exc}"]) from None
     solution = solve_fuzzy_bvp(problem)
-    out_grid = TimeGrid(problem.grid.t0, problem.grid.t_end, points)
     band = solution.band(alphas, grid=out_grid)
     text = band_to_csv(band) if args.format == "csv" else band_to_json(band)
     _write_output(text, args.out)

@@ -9,9 +9,12 @@ RK4, run on the block states through the companion structure (a shift plus
 one row) and carried from block to block.  One scan from the augmented
 identity gives a fundamental basis (canonical initial states) and a
 particular solution (zero initial state) together.  The weight
-functions are the basis combined with the inverse boundary matrix (by a
-linear solve), and the crisp solution is the particular one plus the basis
-combination that meets the boundary values: what the fuzzy layer builds on.
+functions are the basis combined with the inverse boundary matrix: one
+solve of the transposed boundary system for the basis values and slopes
+together, by an elimination that divides by each pivot so that the
+weights meet the unit property exactly at on-grid boundary points.  The
+crisp solution is the particular one plus the basis combination that
+meets the boundary values: what the fuzzy layer builds on.
 """
 
 from __future__ import annotations
@@ -118,7 +121,9 @@ def _hermite(grid: TimeGrid, values: np.ndarray, slopes: np.ndarray, t) -> np.nd
         raise ValueError(f"t = {bad} outside the grid interval [{grid.t0}, {grid.t_end}]")
     h = grid.step
     i = np.clip(np.floor((t - grid.t0) / h).astype(np.intp), 0, grid.num_points - 2)
-    s = ((t - (grid.t0 + i * h)) / h).reshape(t.shape + (1,) * (values.ndim - 1))
+    # not (t - (t0 + i h)) / h: t0 + i h rounds to the float spacing at t0,
+    # which can be a sizeable share of h on a short interval far from 0
+    s = ((t - grid.t0) / h - i).reshape(t.shape + (1,) * (values.ndim - 1))
     s2, s3 = s * s, s * s * s
     return ((2.0 * s3 - 3.0 * s2 + 1.0) * values[i] + (s3 - 2.0 * s2 + s) * h * slopes[i]
             + (-2.0 * s3 + 3.0 * s2) * values[i + 1] + (s3 - s2) * h * slopes[i + 1])
@@ -245,8 +250,8 @@ def _propagate(ode: LinearODE, grid: TimeGrid, initial: np.ndarray):
     # overflow is detected via the finiteness check, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         states, slopes = _rk4_scan(ode, grid, initial)
-    finite = np.isfinite(states).all(axis=(1, 2))
-    if not finite.all():
+    if not np.isfinite(states).all():  # one flat pass; per node only to name the node
+        finite = np.isfinite(states).all(axis=(1, 2))
         node = int(np.argmin(finite))
         raise IntegrationError(f"integration blew up at node {node} "
                                f"(t = {grid.t0 + node * grid.step:g})")
@@ -320,9 +325,33 @@ class WeightBasis:
         return _hermite(self.grid, self.weights, self.weight_slopes, t)
 
 
+def _solve_dividing(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Overwrite the right-hand sides ``x`` with the solution X of
+    ``mat @ X = x``, and return it, by Gaussian elimination with partial
+    pivoting on whole rows that divides each pivot row by its pivot: no
+    reciprocal pivot is formed, so a right-hand side equal to column j of
+    ``mat`` comes back as exactly e_j."""
+    a = np.array(mat, dtype=float)
+    n = len(a)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(a[k:, k])))
+        if p != k:
+            a[[k, p]], x[[k, p]] = a[[p, k]], x[[p, k]]
+        x[k] /= a[k, k]
+        a[k, k:] /= a[k, k]
+        for i in range(k + 1, n):
+            x[i] -= a[i, k] * x[k]
+            a[i, k:] -= a[i, k] * a[k, k:]
+    for k in reversed(range(n)):
+        for j in range(k + 1, n):
+            x[k] -= a[k, j] * x[j]
+    return x
+
+
 def weight_functions(basis: Sequence[Trajectory], boundary_points: Sequence[float]) -> WeightBasis:
     """Weight functions: the basis values times the inverse boundary matrix,
-    computed as one solve of the transposed boundary system.
+    computed as one dividing solve of the transposed boundary system whose
+    right-hand sides are every node's basis values and then its slopes.
 
     Raises NonUniqueCrispSolution for a singular boundary matrix and
     UnitPropertyError when rounding leaves the weights off the unit
@@ -333,13 +362,13 @@ def weight_functions(basis: Sequence[Trajectory], boundary_points: Sequence[floa
     mat = boundary_matrix(basis, points)
     grid = basis[0].grid
     require_invertible(mat, grid.t_end - grid.t0)
-    values = np.column_stack([traj.values for traj in basis])
-    slopes = np.column_stack([traj.slopes for traj in basis])
-    weights = np.linalg.solve(mat.T, values.T).T.copy()
-    weight_slopes = np.linalg.solve(mat.T, slopes.T).T.copy()
-    for arr in (weights, weight_slopes):
-        arr.flags.writeable = False
-    wb = WeightBasis(grid, points, weights, weight_slopes)
+    size = grid.num_points
+    solved = np.empty((len(basis), 2 * size))  # row i: basis i's values, then slopes
+    for i, traj in enumerate(basis):
+        solved[i, :size], solved[i, size:] = traj.values, traj.slopes
+    _solve_dividing(mat.T, solved)
+    solved.flags.writeable = False
+    wb = WeightBasis(grid, points, solved[:, :size].T, solved[:, size:].T)
     miss = np.abs(wb.weight_at(np.array(points)) - np.eye(len(points))).max(axis=1)
     for p, r in zip(points, miss):
         if r > KRONECKER_TOL:

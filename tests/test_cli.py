@@ -60,12 +60,12 @@ RESONANT = {
 }
 
 
-STIFF_AWAY_FROM_T0 = {
-    "equation": {"order": 2, "coeffs": ["0", "-324"], "forcing": "0"},
+STIFF_SHORT_OF_T_END = {
+    "equation": {"order": 2, "coeffs": ["0", "-1156"], "forcing": "0"},
     "interval": {"t0": 0, "T": 1},
     "conditions": [
-        {"t": 0.3, "value": {"type": "triangular", "l": 0.5, "m": 1, "r": 1.5}},
-        {"t": 1, "value": {"type": "triangular", "l": 1.5, "m": 2, "r": 2.5}},
+        {"t": 0, "value": {"type": "triangular", "l": 0.5, "m": 1, "r": 1.5}},
+        {"t": 0.7, "value": {"type": "triangular", "l": 1.5, "m": 2, "r": 2.5}},
     ],
 }
 
@@ -219,7 +219,7 @@ class TestSolveCommand:
 
     def test_unit_property_failure_exits_1_with_one_line(self, tmp_path, capsys):
         path = tmp_path / "stiff.json"
-        path.write_text(json.dumps(STIFF_AWAY_FROM_T0), encoding="utf-8")
+        path.write_text(json.dumps(STIFF_SHORT_OF_T_END), encoding="utf-8")
         assert run_cli(["solve", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: weight functions miss the unit property")
@@ -693,6 +693,34 @@ class TestIntervalLength:
         path = tmp_path / "short.json"
         path.write_text(json.dumps(straight_line_document(2, 5.0, 1e-11)), encoding="utf-8")
         assert run_cli(["solve", str(path)]) == 0
+
+    @pytest.mark.parametrize("file_points, argv, source", [
+        (10001, [], "  output.points"), (5, ["--points", "10001"], "error: argument --points"),
+    ], ids=["output.points", "--points"])
+    def test_output_grid_finer_than_float_resolution_names_its_source(
+            self, tmp_path, capsys, file_points, argv, source):
+        # the solve grid (1001 points) is fine; 10001 output points are not
+        doc = straight_line_document(2, 5.0, 1e-11)
+        doc["output"]["points"] = file_points
+        path = tmp_path / "fine_output.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli(["solve", str(path), *argv]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"{source}: 10001 points on [5.0, 5.00000000001]: half a step must exceed the "
+            f"float spacing 8.88e-16 at the ends")
+
+    def test_middle_of_a_short_interval_far_from_zero(self, tmp_path, capsys):
+        # example 1's conditions on [5, T] with T - 5 an even number of float
+        # spacings, so the middle output node is the exact midpoint and the
+        # (nearly straight) band there is the mean of the boundary cuts
+        doc = example_problem_document(1)
+        t_end = float(5.0 + 11258 * np.spacing(5.0))
+        doc["interval"] = {"t0": 5.0, "T": t_end}
+        doc["conditions"][0]["t"], doc["conditions"][1]["t"] = 5.0, t_end
+        path = tmp_path / "short_ex1.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli(["solve", str(path), "--points", "3", "--alphas", "0"]) == 0
+        assert capsys.readouterr().out.splitlines()[2] == "5,1.75,3.5"
 
 
 @pytest.mark.parametrize("value", [

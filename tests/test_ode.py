@@ -3,6 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import reference
 from fuzzybvp import ode as ode_module
@@ -17,6 +20,7 @@ from fuzzybvp.ode import (
     Trajectory,
     UnitPropertyError,
     _propagate,
+    _solve_dividing,
     boundary_matrix,
     homogeneous_basis,
     integrate_ivp,
@@ -110,6 +114,19 @@ class TestIntegrateIvp:
         grid = TimeGrid(0.0, 1.0, 1001)
         with pytest.raises(IntegrationError, match="node"):
             integrate_ivp(ode, [1.0], grid)
+
+    @pytest.mark.parametrize("order, num_points, message", [
+        (1, 1001, "integration blew up at node 713 (t = 0.713)"),
+        (1, 4001, "integration blew up at node 2840 (t = 0.71)"),
+        (2, 1001, "integration blew up at node 707 (t = 0.707)"),
+    ])
+    def test_blow_up_names_the_first_bad_node(self, order, num_points, message):
+        # x' = 1000 x and x'' = 1e6 x overflow part way through the interval
+        coeffs = ["-1000"] if order == 1 else ["0", "-1e6"]
+        ode = LinearODE.from_strings(order, coeffs, "0")
+        with pytest.raises(IntegrationError) as info:
+            homogeneous_basis(ode, TimeGrid(0.0, 1.0, num_points))
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("num_points", [1001, 1009])
     def test_domain_error_names_the_first_offending_stage_time(self, num_points):
@@ -380,12 +397,60 @@ class TestWeightFunctions:
         assert np.max(np.abs(wb.weight_at(np.array([0.0, 1.0])) - np.eye(2))) <= KRONECKER_TOL
 
     def test_unit_property_failure_is_a_documented_error(self):
-        # x'' = 324 x with both points away from t0: rounding in the boundary
-        # system leaves the weights some 1e-7 off the unit property
-        ode = LinearODE.from_strings(2, ["0", "-324"], "0")
+        # x'' = 1156 x with points 0 and 0.7: 0.7 lies one float spacing below
+        # its node, so its boundary row mixes two nodes and the weights meet
+        # the unit property there only to eps * cond(B), some 1e-6
+        ode = LinearODE.from_strings(2, ["0", "-1156"], "0")
         basis = homogeneous_basis(ode, TimeGrid(0.0, 1.0, 1001))
         with pytest.raises(UnitPropertyError, match="unit property at boundary point"):
-            weight_functions(basis, [0.3, 1.0])
+            weight_functions(basis, [0.0, 0.7])
+
+    @pytest.mark.parametrize("num_points", [1001, 2001, 4001])
+    @pytest.mark.parametrize("points, ks", [((0.0, 1.0), range(10, 26)),
+                                            ((0.3, 1.0), range(10, 20))],
+                             ids=["points 0 and 1", "points 0.3 and 1"])
+    def test_stiff_weights_solve_and_match_sinh_closed_forms(self, points, ks, num_points):
+        # x'' = k^2 x: weight 0 is sinh(k (q - t)) / sinh(k (q - p)) and
+        # weight 1 is sinh(k (t - p)) / sinh(k (q - p)) for points p, q
+        p, q = points
+        grid = TimeGrid(0.0, 1.0, num_points)
+        t = grid.nodes()
+        for k in ks:
+            ode = LinearODE.from_strings(2, ["0", f"-{k * k}"], "0")
+            wb = weight_functions(homogeneous_basis(ode, grid), points)
+            exact = np.column_stack([np.sinh(k * (q - t)), np.sinh(k * (t - p))])
+            assert np.max(np.abs(wb.weights - exact / np.sinh(k * (q - p)))) <= 5e-5, k
+
+
+@st.composite
+def pivoting_systems(draw):
+    """A nonsingular (n, n) matrix whose large entries sit off the diagonal,
+    so that partial pivoting has to swap rows, with columns scaled over 12
+    decades, and an (n, m) right-hand side."""
+    n = draw(st.integers(1, 6))
+    perm = draw(st.permutations(range(n)).filter(lambda p: n == 1 or p[0] != 0))
+    small = draw(hnp.arrays(float, (n, n), elements=st.floats(-1.0, 1.0)))
+    mat = small + 2.0 * n * np.eye(n)[list(perm)]
+    mat *= 10.0 ** np.array(draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)))
+    m = draw(st.integers(1, 4))
+    rhs = draw(hnp.arrays(float, (n, m), elements=st.floats(-1e3, 1e3)))
+    return mat, rhs
+
+
+@given(pivoting_systems())
+def test_dividing_elimination_agrees_with_lapack(system):
+    mat, rhs = system
+    expected = np.linalg.solve(mat, rhs)
+    tol = 8 * len(mat) * np.finfo(float).eps * np.linalg.cond(mat) * np.abs(expected).max()
+    assert np.max(np.abs(_solve_dividing(mat, rhs.copy()) - expected)) <= tol + 1e-300
+
+
+@given(pivoting_systems())
+def test_dividing_elimination_returns_the_identity_for_its_own_columns(system):
+    # each pivot row is divided by its pivot, so column j of the matrix
+    # reduces to e_j without rounding: the unit property at on-grid points
+    mat, _ = system
+    assert np.array_equal(_solve_dividing(mat, mat.copy()), np.eye(len(mat)))
 
 
 class TestSolveCrispBvp:
@@ -412,6 +477,14 @@ class TestSolveCrispBvp:
         listed = solve_crisp_bvp(EX1_ODE, [(0.0, 2.0), (1.0, 3.0)], grid)
         streamed = solve_crisp_bvp(EX1_ODE, iter([(0.0, 2.0), (1.0, 3.0)]), grid)
         assert np.array_equal(streamed.states, listed.states)
+
+    def test_line_far_from_zero_ends_on_its_boundary_value(self):
+        # h = 1e-14 is about 11 float spacings at 5: a time placed in its
+        # step from the rounded node t0 + i h lands off by a share of h
+        ode = LinearODE.from_strings(2, ["0", "0"], "0")
+        grid = TimeGrid(5.0, 5.0 + 1e-11, 1001)
+        traj = solve_crisp_bvp(ode, [(5.0, 1.0), (grid.t_end, 2.0)], grid)
+        assert traj.values[-1] == 2.0 and traj.value(grid.t_end) == 2.0
 
     def test_boundary_values_hit_exactly(self):
         grid = TimeGrid(0.0, 1.0, 1001)
