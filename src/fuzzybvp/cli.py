@@ -6,10 +6,14 @@ Subcommands:
 * ``verify``  -- cross-check the band against the finite-difference oracle
 * ``example`` -- print one of the two built-in problems as JSON
 
-Every number is written as ``%.12g``. CSV is formatted with one ``%`` per
-block of rows. The JSON of ``solve --format json`` and of the ``verify``
-report comes from ``_to_json``: one ``%`` per series, the same bytes as
-``json.dumps(..., indent=2)`` of the rounded values.
+Every number is written as ``%.12g``, except a CSV t column whose nodes
+twelve digits would not tell apart, which is written as ``%.17g``. CSV is
+formatted with one ``%`` per block of rows, and ``solve`` writes each block
+to the file or to stdout as soon as it is formatted. The JSON of
+``solve --format json`` and of the ``verify`` report comes from
+``_to_json``: one ``%`` per series, the same bytes as
+``json.dumps(..., indent=2)`` of the rounded values. A reader that closes
+stdout early (``fuzzybvp solve ... | head``) ends the output quietly.
 
 Exit codes: 0 success, 1 validation or usage error or a failed solve
 (non-finite integration, weights missing the unit property), 2 crisp
@@ -19,12 +23,16 @@ problem not uniquely solvable, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import functools
 import json
+import math
+import os
 import re
 import sys
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 
@@ -39,16 +47,13 @@ from .ode import (
     UnitPropertyError,
 )
 from .oracle import FDMesh, SingularDiscretizationError, compare, envelope
-from .solver import FuzzyBVP, SolutionBand, solve_fuzzy_bvp
+from .solver import BLOCK_ROWS, FuzzyBVP, SolutionBand, solve_fuzzy_bvp
 
 DEFAULT_OUTPUT_POINTS = 101
 DEFAULT_OUTPUT_ALPHAS = (0.0, 0.5, 1.0)
 VERIFY_DEFAULT_MESH = 1999
 VERIFY_DEFAULT_SAMPLES = 2
 VERIFY_DEFAULT_TOLERANCE = 1e-4
-# Rows per "%" call in band_to_csv: enough to amortize the call, few enough
-# that the block's cell tuple stays small next to the output text.
-CSV_BLOCK_ROWS = 4096
 
 EXAMPLE_PROBLEMS = {
     1: {
@@ -289,23 +294,45 @@ def _to_json(obj, indent: str = "") -> str:
     return json.dumps(obj)
 
 
-def band_to_csv(band: SolutionBand) -> str:
+def _t_format(grid: TimeGrid) -> str:
+    """``%.12g``, or ``%.17g`` when twelve digits would print two nodes alike.
+
+    Adjacent nodes a step h apart round to different 12-digit texts when h
+    exceeds a unit in the 12th digit at the largest |t|; a unit a hundred
+    times larger leaves room for the rounding of log10 and of the nodes.
+    Only finer grids format the column to compare its texts.
+    """
+    widest = max(abs(grid.t0), abs(grid.t_end))
+    if grid.step > 10.0 ** (math.floor(math.log10(widest)) - 9):
+        return "%.12g"
+    texts = (("%.12g\n" * grid.num_points) % tuple(grid.nodes().tolist())).split()
+    return "%.12g" if all(a != b for a, b in zip(texts, texts[1:])) else "%.17g"
+
+
+def band_to_csv(band: SolutionBand, handle: TextIO | None = None) -> str | None:
+    """The band as CSV: one t column and a lower and an upper column per level.
+
+    The text is returned, or written to ``handle`` block by block as it is
+    formatted, so that only one block of text exists at a time.
+    """
+    parts = []
+    write = parts.append if handle is None else handle.write
     header = "t"
     for alpha in band.alphas:
         header += f",lower_{_fmt(alpha)},upper_{_fmt(alpha)}"
+    write(header + "\n")
     nodes = band.grid.nodes()
     width = 1 + 2 * len(band.alphas)
-    row_fmt = ",".join(["%.12g"] * width) + "\n"
-    block = np.empty((min(CSV_BLOCK_ROWS, band.grid.num_points), width))
-    parts = [header + "\n"]
-    for start in range(0, band.grid.num_points, CSV_BLOCK_ROWS):
-        stop = min(start + CSV_BLOCK_ROWS, band.grid.num_points)
+    row_fmt = ",".join([_t_format(band.grid)] + ["%.12g"] * (width - 1)) + "\n"
+    block = np.empty((min(BLOCK_ROWS, band.grid.num_points), width))
+    for start in range(0, band.grid.num_points, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, band.grid.num_points)
         rows = block[:stop - start]
         rows[:, 0] = nodes[start:stop]
         rows[:, 1::2] = band.lower[:, start:stop].T
         rows[:, 2::2] = band.upper[:, start:stop].T
-        parts.append((row_fmt * len(rows)) % tuple(rows.ravel().tolist()))
-    return "".join(parts)
+        write((row_fmt * len(rows)) % tuple(rows.ravel().tolist()))
+    return "".join(parts) if handle is None else None
 
 
 def band_to_json(band: SolutionBand) -> str:
@@ -322,12 +349,26 @@ def band_to_json(band: SolutionBand) -> str:
     return _to_json(doc) + "\n"
 
 
-def _write_output(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
+@contextlib.contextmanager
+def _output(out: str | None):
+    """The handle that the result goes to: the file ``out``, or stdout.
+
+    When the reader of stdout has gone (``| head``), the rest of the output,
+    the flush at exit included, goes to devnull, as the "Note on SIGPIPE" in
+    the Python documentation of ``signal`` does, and the command keeps its
+    exit code.
+    """
+    if out is not None:
         with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            yield handle
+        return
+    try:
+        yield sys.stdout
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _parse_alpha_list(text: str) -> tuple[float, ...]:
@@ -372,8 +413,11 @@ def cmd_solve(args) -> int:
         raise ProblemFormatError([f"output.points: {exc}"]) from None
     solution = solve_fuzzy_bvp(problem)
     band = solution.band(alphas, grid=out_grid)
-    text = band_to_csv(band) if args.format == "csv" else band_to_json(band)
-    _write_output(text, args.out)
+    with _output(args.out) as handle:
+        if args.format == "csv":
+            band_to_csv(band, handle)
+        else:
+            handle.write(band_to_json(band))
     return 0
 
 
@@ -398,7 +442,8 @@ def cmd_verify(args) -> int:
         "passed": passed,
         **report.to_dict(),
     }
-    _write_output(_to_json(doc) + "\n", args.out)
+    with _output(args.out) as handle:
+        handle.write(_to_json(doc) + "\n")
     if not passed:
         sys.stderr.write(
             f"verification failed: max deviation {report.max_deviation:.3e} "

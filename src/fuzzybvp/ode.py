@@ -30,6 +30,9 @@ from .expressions import ZERO, Expression
 DEFAULT_STEPS = 1000
 SINGULARITY_RTOL = 1e-12
 KRONECKER_TOL = 1e-9
+# A time whose step coordinate q = (t - t0) / h lies within
+# SNAP_TOL * max(|q|, 1) of an integer is evaluated at that node.
+SNAP_TOL = 8.0 * np.finfo(float).eps
 
 
 class NonUniqueCrispSolution(Exception):
@@ -120,10 +123,17 @@ def _hermite(grid: TimeGrid, values: np.ndarray, slopes: np.ndarray, t) -> np.nd
         bad = float(t.ravel()[np.argmin(inside.ravel())])
         raise ValueError(f"t = {bad} outside the grid interval [{grid.t0}, {grid.t_end}]")
     h = grid.step
-    i = np.clip(np.floor((t - grid.t0) / h).astype(np.intp), 0, grid.num_points - 2)
     # not (t - (t0 + i h)) / h: t0 + i h rounds to the float spacing at t0,
     # which can be a sizeable share of h on a short interval far from 0
-    s = ((t - grid.t0) / h - i).reshape(t.shape + (1,) * (values.ndim - 1))
+    q = (t - grid.t0) / h
+    # a time within rounding of a node is that node (0.7 on [0, 1] lies one
+    # float spacing below 0.7000000000000001), so it takes the node's value
+    # exactly instead of a two-node mix; q > -1 inside the interval, so
+    # max(q, 1) is max(|q|, 1)
+    nearest = np.rint(q)
+    q = np.where(np.abs(q - nearest) <= SNAP_TOL * np.maximum(q, 1.0), nearest, q)
+    i = np.clip(np.floor(q).astype(np.intp), 0, grid.num_points - 2)
+    s = (q - i).reshape(t.shape + (1,) * (values.ndim - 1))
     s2, s3 = s * s, s * s * s
     return ((2.0 * s3 - 3.0 * s2 + 1.0) * values[i] + (s3 - 2.0 * s2 + s) * h * slopes[i]
             + (-2.0 * s3 + 3.0 * s2) * values[i + 1] + (s3 - s2) * h * slopes[i + 1])

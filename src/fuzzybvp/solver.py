@@ -30,6 +30,10 @@ from .ode import (LinearODE, TimeGrid, Trajectory, WeightBasis, _basis_and_crisp
 # Unused here; bound for the benchmark tracer until ROADMAP item 1 re-points it.
 from .ode import combine, homogeneous_basis, integrate_ivp  # noqa: F401
 
+# Nodes per block of an off-grid band, and rows per block of its CSV: the
+# Hermite temporaries and the block's text stay small next to the band.
+BLOCK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class FuzzyBVP:
@@ -132,18 +136,25 @@ class FuzzySolution:
         """Alpha-cut band over a grid (the solution grid by default).
 
         Levels are sorted ascending and deduplicated; per node the returned
-        intervals are nested across increasing alpha.
+        intervals are nested across increasing alpha.  On another grid the
+        nodes are interpolated ``BLOCK_ROWS`` at a time; every step is
+        elementwise, so the blocks give the bits of one whole-grid pass.
         """
         levels = sorted({_check_alpha(a) for a in alphas})
         if not levels:
             raise ValueError("at least one alpha level is required")
         if grid is None or grid == self.grid:
-            grid = self.grid
-            crisp_vals, weights = self.crisp.values, self.weight_basis.weights
-        else:
-            nodes = grid.nodes()
-            crisp_vals, weights = self.crisp.value(nodes), self.weight_basis.weight_at(nodes)
-        return SolutionBand(grid, tuple(levels), *self._cuts(crisp_vals, weights, levels))
+            cuts = self._cuts(self.crisp.values, self.weight_basis.weights, levels)
+            return SolutionBand(self.grid, tuple(levels), *cuts)
+        nodes = grid.nodes()
+        lower = np.empty((len(levels), grid.num_points))
+        upper = np.empty_like(lower)
+        for start in range(0, grid.num_points, BLOCK_ROWS):
+            block = slice(start, start + BLOCK_ROWS)
+            ts = nodes[block]
+            lower[:, block], upper[:, block] = self._cuts(
+                self.crisp.value(ts), self.weight_basis.weight_at(ts), levels)
+        return SolutionBand(grid, tuple(levels), lower, upper)
 
     def membership_of(self, boundary_values) -> float:
         """Possibility of the crisp trajectory with these boundary values:

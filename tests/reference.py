@@ -155,9 +155,13 @@ def band_to_csv(band):
     for alpha in band.alphas:
         header += f",lower_{fmt12(alpha)},upper_{fmt12(alpha)}"
     lines = [header]
-    nodes = band.grid.nodes()
+    nodes = [float(t) for t in band.grid.nodes()]
+    # t is written with 17 digits when 12 would print two nodes alike
+    t_texts = [fmt12(t) for t in nodes]
+    if len(set(t_texts)) < len(t_texts):
+        t_texts = [f"{t:.17g}" for t in nodes]
     for i in range(band.grid.num_points):
-        cells = [fmt12(float(nodes[i]))]
+        cells = [t_texts[i]]
         for k in range(len(band.alphas)):
             cells.append(fmt12(float(band.lower[k, i])))
             cells.append(fmt12(float(band.upper[k, i])))

@@ -1,15 +1,20 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fuzzybvp
 import reference
 from fuzzybvp.cli import (
-    CSV_BLOCK_ROWS,
     EXAMPLE_PROBLEMS,
     VERIFY_DEFAULT_MESH,
     VERIFY_DEFAULT_SAMPLES,
@@ -27,7 +32,7 @@ from fuzzybvp.cli import (
 from fuzzybvp.fuzzy import TriangularFuzzyNumber
 from fuzzybvp.ode import TimeGrid
 from fuzzybvp.oracle import FDMesh, compare, envelope
-from fuzzybvp.solver import SolutionBand, solve_fuzzy_bvp
+from fuzzybvp.solver import BLOCK_ROWS, SolutionBand, solve_fuzzy_bvp
 
 
 def run_cli(argv):
@@ -65,7 +70,7 @@ STIFF_SHORT_OF_T_END = {
     "interval": {"t0": 0, "T": 1},
     "conditions": [
         {"t": 0, "value": {"type": "triangular", "l": 0.5, "m": 1, "r": 1.5}},
-        {"t": 0.7, "value": {"type": "triangular", "l": 1.5, "m": 2, "r": 2.5}},
+        {"t": 0.7003, "value": {"type": "triangular", "l": 1.5, "m": 2, "r": 2.5}},
     ],
 }
 
@@ -461,8 +466,7 @@ def assert_same_text(text, expected):
                     f"expected {want[i:i + 1]!r} ({len(got)} vs {len(want)} lines)")
 
 
-BLOCK_EDGE_ROWS = (2, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
-                   2 * CSV_BLOCK_ROWS + 3)
+BLOCK_EDGE_ROWS = (2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3)
 
 
 class TestByteIdentity:
@@ -542,6 +546,61 @@ class TestByteIdentity:
         expected = json.dumps(reference.round_tree(doc), indent=2) + "\n"
         assert '\\"' in expected and "\\\\" in expected and "\\u00e9" in expected
         assert_same_text(out.read_text(encoding="utf-8"), expected)
+
+
+class TestStreamedSolve:
+    """``solve`` writes each CSV block to its output as soon as it is formatted."""
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["--out", "stdout"])
+    @pytest.mark.parametrize("rows", BLOCK_EDGE_ROWS)
+    def test_solve_writes_the_bytes_of_band_to_csv(self, tmp_path, capsys, rows, to_file):
+        path = write_example(tmp_path, 2)
+        alphas = [0.0, 0.25, 0.6, 1.0]
+        argv = ["solve", path, "--points", str(rows), "--alphas", "0,0.25,0.6,1"]
+        out = tmp_path / "band.csv"
+        assert run_cli(argv + ["--out", str(out)] if to_file else argv) == 0
+        text = out.read_bytes().decode("utf-8") if to_file else capsys.readouterr().out
+        band = solve_fuzzy_bvp(load(path)).band(alphas, grid=TimeGrid(0.0, 2.0, rows))
+        assert_same_text(text, band_to_csv(band))
+        assert_same_text(text, reference.band_to_csv(band))
+
+    @pytest.mark.parametrize("doc, code", [(STIFF_SHORT_OF_T_END, 1), (RESONANT, 2)],
+                             ids=["unit property", "no unique solution"])
+    def test_failed_solve_leaves_no_file(self, tmp_path, capsys, doc, code):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "band.csv"
+        assert run_cli(["solve", str(path), "--out", str(out)]) == code
+        assert not out.exists()
+
+    def test_dense_solve_holds_little_beyond_its_band(self, tmp_path):
+        # the 5-level band on 100001 nodes is 8.0 MB; neither the whole CSV
+        # text (14.7 MB) nor whole-grid Hermite temporaries exist at once
+        path = write_example(tmp_path, 1)
+        band_bytes = 2 * 5 * 100001 * 8
+        tracemalloc.start()
+        try:
+            assert run_cli(["solve", path, "--points", "100001", "--alphas",
+                            "0,0.25,0.5,0.75,1", "--out", str(tmp_path / "band.csv")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * band_bytes
+
+    def test_closed_stdout_ends_the_output_quietly(self, tmp_path):
+        # as in `fuzzybvp solve ... | head -1`: the reader takes one line and
+        # goes, long before the 14.7 MB are written
+        path = write_example(tmp_path, 1)
+        src = str(Path(fuzzybvp.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        with subprocess.Popen([sys.executable, "-m", "fuzzybvp.cli", "solve", path,
+                               "--points", "100001"], env=env, stdin=subprocess.DEVNULL,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline().startswith(b"t,lower_0,upper_0")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 0
+        assert err == b""
 
 
 @given(st.integers(min_value=0, max_value=2**64 - 1))
@@ -720,7 +779,37 @@ class TestIntervalLength:
         path = tmp_path / "short_ex1.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert run_cli(["solve", str(path), "--points", "3", "--alphas", "0"]) == 0
-        assert capsys.readouterr().out.splitlines()[2] == "5,1.75,3.5"
+        # twelve digits print the middle node as 5, like the first: t is
+        # written with seventeen
+        middle = "%.17g" % TimeGrid(5.0, t_end, 3).nodes()[1]
+        assert capsys.readouterr().out.splitlines()[2] == f"{middle},1.75,3.5"
+
+
+class TestTColumn:
+    def test_nodes_that_twelve_digits_confuse_print_apart(self, tmp_path, capsys):
+        # on [5, 5 + 1e-11] twelve digits print the last two of 3 nodes as
+        # 5.00000000001; seventeen give each node back exactly
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(straight_line_document(2, 5.0, 1e-11)), encoding="utf-8")
+        assert run_cli(["solve", str(path), "--points", "3"]) == 0
+        text = capsys.readouterr().out
+        t = [row.split(",", 1)[0] for row in text.splitlines()[1:]]
+        nodes = TimeGrid(5.0, 5.0 + 1e-11, 3).nodes()
+        assert len(set(f"{x:.12g}" for x in nodes)) == 2
+        assert t == [f"{x:.17g}" for x in nodes]
+        assert [float(x) for x in t] == list(nodes)
+        band = solve_fuzzy_bvp(load(str(path))).band([1.0], grid=TimeGrid(5.0, 5.0 + 1e-11, 3))
+        assert_same_text(text, reference.band_to_csv(band))
+
+    @pytest.mark.parametrize("points", [101, 100001])
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_examples_keep_twelve_digit_t(self, tmp_path, which, points):
+        path = write_example(tmp_path, which)
+        out = tmp_path / "band.csv"
+        assert run_cli(["solve", path, "--points", str(points), "--out", str(out)]) == 0
+        t = [row.split(",", 1)[0] for row in out.read_text(encoding="utf-8").splitlines()[1:]]
+        t_end = float(EXAMPLE_PROBLEMS[which]["interval"]["T"])
+        assert t == [f"{x:.12g}" for x in TimeGrid(0.0, t_end, points).nodes()]
 
 
 @pytest.mark.parametrize("value", [

@@ -397,13 +397,23 @@ class TestWeightFunctions:
         assert np.max(np.abs(wb.weight_at(np.array([0.0, 1.0])) - np.eye(2))) <= KRONECKER_TOL
 
     def test_unit_property_failure_is_a_documented_error(self):
-        # x'' = 1156 x with points 0 and 0.7: 0.7 lies one float spacing below
-        # its node, so its boundary row mixes two nodes and the weights meet
-        # the unit property there only to eps * cond(B), some 1e-6
+        # x'' = 1156 x with points 0 and 0.7003: the off-grid point's boundary
+        # row mixes two nodes, so the weights meet the unit property there
+        # only to eps * cond(B), some 2e-6
         ode = LinearODE.from_strings(2, ["0", "-1156"], "0")
         basis = homogeneous_basis(ode, TimeGrid(0.0, 1.0, 1001))
         with pytest.raises(UnitPropertyError, match="unit property at boundary point"):
-            weight_functions(basis, [0.0, 0.7])
+            weight_functions(basis, [0.0, 0.7003])
+
+    @pytest.mark.parametrize("num_points", [1001, 2001, 4001])
+    def test_point_within_rounding_of_a_node_is_that_node(self, num_points):
+        # 0.7 lies one float spacing below the node 0.7000000000000001; it is
+        # evaluated at that node, so the weights meet the unit property exactly
+        ode = LinearODE.from_strings(2, ["0", "-1156"], "0")
+        basis = homogeneous_basis(ode, TimeGrid(0.0, 1.0, num_points))
+        wb = weight_functions(basis, [0.0, 0.7])
+        assert np.array_equal(wb.weight_at(0.7), [0.0, 1.0])
+        assert np.array_equal(wb.weight_at(0.0), [1.0, 0.0])
 
     @pytest.mark.parametrize("num_points", [1001, 2001, 4001])
     @pytest.mark.parametrize("points, ks", [((0.0, 1.0), range(10, 26)),

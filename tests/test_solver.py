@@ -10,7 +10,8 @@ import reference
 from fuzzybvp import fuzzy
 from fuzzybvp.fuzzy import ParametricFuzzyNumber, TriangularFuzzyNumber
 from fuzzybvp.ode import LinearODE, TimeGrid, solve_crisp_bvp
-from fuzzybvp.solver import FuzzyBVP, FuzzySolution, SolutionBand, solve_fuzzy_bvp
+from fuzzybvp.solver import (BLOCK_ROWS, FuzzyBVP, FuzzySolution, SolutionBand,
+                             solve_fuzzy_bvp)
 
 
 class TestProblemValidation:
@@ -189,6 +190,20 @@ class TestBand:
                 assert np.max(np.abs(band.upper[k] - upper)) <= 1e-12
                 assert np.array_equal(band.lower[k], lower)
                 assert np.array_equal(band.upper[k], upper)
+
+    @pytest.mark.parametrize("num_points", [2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                            2 * BLOCK_ROWS + 3])
+    def test_blocked_off_grid_band_equals_one_pass(self, solution2, num_points):
+        # the band interpolates BLOCK_ROWS nodes at a time; one pass over all
+        # nodes gives the same bits, on both sides of every block edge
+        levels = [0.0, 0.6, 1.0]
+        out = TimeGrid(0.0, 2.0, num_points)
+        nodes = out.nodes()
+        lower, upper = solution2._cuts(solution2.crisp.value(nodes),
+                                       solution2.weight_basis.weight_at(nodes), levels)
+        band = solution2.band(levels, grid=out)
+        assert np.array_equal(band.lower, lower)
+        assert np.array_equal(band.upper, upper)
 
 
 def interval_arithmetic_cut(solution, t, alpha):
