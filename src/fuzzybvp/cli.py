@@ -6,18 +6,21 @@ Subcommands:
 * ``verify``  -- cross-check the band against the finite-difference oracle
 * ``example`` -- print one of the two built-in problems as JSON
 
-Every number is written as ``%.12g``, except a CSV t column whose nodes
-twelve digits would not tell apart, which is written as ``%.17g``. CSV is
-formatted with one ``%`` per block of rows, and ``solve`` writes each block
-to the file or to stdout as soon as it is formatted. The JSON of
-``solve --format json`` and of the ``verify`` report comes from
-``_to_json``: one ``%`` per series, the same bytes as
+Every number is written as ``%.12g``, except a t column whose nodes twelve
+digits would not tell apart: CSV writes it as ``%.17g`` and JSON unrounded.
+``_format_rows`` is the one writer of ``%.12g`` arrays. It builds the digits
+of most cells by integer arithmetic on the scaled value and leaves the rest
+to ``%``; the bytes are those of ``%`` on every cell.
+``solve`` writes each CSV block of rows to the file or to stdout as soon as
+it is formatted. The JSON of ``solve --format json`` and of the ``verify``
+report comes from ``_to_json``, the same bytes as
 ``json.dumps(..., indent=2)`` of the rounded values. A reader that closes
 stdout early (``fuzzybvp solve ... | head``) ends the output quietly.
 
-Exit codes: 0 success, 1 validation or usage error or a failed solve
-(non-finite integration, weights missing the unit property), 2 crisp
-problem not uniquely solvable, 3 verification failure.
+Exit codes: 0 success, 1 validation or usage error, a failed solve
+(non-finite integration, weights missing the unit property) or a size too
+large for memory, 2 crisp problem not uniquely solvable, 3 verification
+failure.
 """
 
 from __future__ import annotations
@@ -253,6 +256,125 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+# %.12g by digit arithmetic. A finite x != 0 whose decimal exponent E lies in
+# [-4, 11] is written without an exponent: its digits are the integer
+# m = round(|x| * 10**(11 - E)) in [1e11, 1e12), with the point after digit
+# E + 1 and the trailing zeros of the fraction dropped. The product rounds
+# once (10**k is exact) and is below 2**40, so it is within 2**-14 of the
+# exact one; where it lies more than 2**-11 from a half, rint gives the
+# correctly rounded m. Every other cell -- 0, -0, nan, inf, exponent
+# notation, a product near a half or one rounding up to 1e12, and a first
+# column in another format -- is left to "%".
+
+# floor(log10|x|) + _BIAS is positive for every finite float, so a cast floors it
+_BIAS = 400
+# 10**(11 - E) at E + _BIAS for E in [-4, 11], and nan elsewhere, so that a
+# cell of any other exponent, or 0, inf or nan, fails the checks on its product
+_SCALE = np.array([np.nan] * (_BIAS - 4) + [float(10 ** k) for k in range(15, -1, -1)]
+                  + [np.nan] * (_BIAS - 12))
+# the text of 0..9999 as four digits in a little-endian 32-bit word, then the
+# same words with the first digit replaced by "."
+_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode("ascii"), "<u2")
+_QUADS = np.empty((2, 100, 100, 2), "<u2")
+_QUADS[..., 0] = _PAIRS[:, None]
+_QUADS[..., 1] = _PAIRS
+_QUADS.view(np.uint8)[1, ..., 0] = ord(".")
+_QUADS = _QUADS.view("<u4").ravel()
+# trailing zeros of 0..9999 written as four digits: those of the last two
+# digits, or two more than those of the first two where the last are "00"
+_PAIR_ZEROS = [2] + [int(i % 10 == 0) for i in range(1, 100)]
+_TRAILING_ZEROS = np.array([_PAIR_ZEROS] * 100, np.int8)
+_TRAILING_ZEROS[:, 0] = [2 + zeros for zeros in _PAIR_ZEROS]
+_TRAILING_ZEROS = _TRAILING_ZEROS.ravel()
+# A cell takes 32 bytes: the separator before it, "-", "0.", a byte never
+# kept, "000", its 12 digits, then "." and digits 2 to 12 again.
+# _KEEP[192 * negative + 12 * (E + 4) + trailing zeros of m] marks the bytes
+# of its text. A cell left to "%" gets its format in place of its first
+# digits, and the last row keeps the separator and that format: the text of
+# a block is then a format string for its "%" cells.
+_CELL = np.frombuffer(b",-0.\x00000" + b"0" * 24, np.uint8)
+_BY_PERCENT = 384
+# cells per pass: enough to spread the numpy calls, few enough to keep its arrays small
+_FORMAT_CELLS = 4096
+
+
+def _keep_table() -> np.ndarray:
+    keep = np.zeros((_BY_PERCENT + 1, 32), bool)
+    keep[:, 0] = keep[_BY_PERCENT, 8:13] = True
+    for negative in (0, 1):
+        for exp in range(-4, 12):
+            for zeros in range(12):
+                row = keep[192 * negative + 12 * (exp + 4) + zeros]
+                row[1] = negative
+                if exp < 0:  # "0.", -exp - 1 zeros, the digits
+                    row[2:4] = row[5:4 - exp] = row[8:20 - zeros] = True
+                else:  # the integer digits, then "." and the fraction if any is left
+                    fraction = max(0, 11 - exp - zeros)
+                    row[8:9 + exp] = True
+                    row[20] = fraction > 0
+                    row[21 + exp:21 + exp + fraction] = True
+    return keep
+
+
+_KEEP = _keep_table()
+
+
+def _format_rows(cells: np.ndarray, first: str = "%.12g") -> str:
+    """A 2-D float block as text: cells joined by "," and every row ended by
+    a newline. The first column is written with ``first`` ("%.12g" or
+    "%.17g"), the others with "%.12g": the same bytes as one ``%`` of the
+    row format over the cells.
+    """
+    rows, cols = cells.shape
+    step = max(1, _FORMAT_CELLS // cols)
+    buf = np.empty((min(step, rows), cols, 32), np.uint8)
+    buf[:] = _CELL
+    buf[:, 0, 0] = ord("\n")  # a row's first cell follows the end of the row before
+    return "".join(_format_pass(cells[start:start + step], first, buf)
+                   for start in range(0, rows, step))
+
+
+def _format_pass(cells: np.ndarray, first: str, buf: np.ndarray) -> str:
+    rows, cols = cells.shape
+    x = cells.ravel()
+    cell = buf[:rows].reshape(x.size, 32)
+    a = np.abs(x)
+    with np.errstate(all="ignore"):  # log10(0), and casts of inf and nan
+        exp = (np.log10(a) + _BIAS).astype(np.intp)
+        p = a * _SCALE.take(exp, mode="clip")
+        m = np.rint(p)
+        fast = (p >= 1e11) & (m < 1e12) & (np.abs(p - m) < 0.5 - 2.0 ** -11)
+    if first != "%.12g":
+        fast.reshape(rows, cols)[:, 0] = False
+    slow = ~fast
+    np.copyto(m, 1e11, where=slow)
+    m = m.astype(np.intp)
+    high = m // 10 ** 8
+    low = m - high * 10 ** 8
+    mid = low // 10 ** 4
+    low -= mid * 10 ** 4
+    words = cell.view("<u4")
+    words[:, 2] = _QUADS.take(high)
+    words[:, 3] = words[:, 6] = _QUADS.take(mid)
+    words[:, 4] = words[:, 7] = _QUADS.take(low)
+    words[:, 5] = _QUADS.take(high + 10000)
+    zeros = _TRAILING_ZEROS.take(low) + (low == 0) * (
+        _TRAILING_ZEROS.take(mid) + (mid == 0) * _TRAILING_ZEROS.take(high))
+    code = 12 * (exp - (_BIAS - 4)) + zeros + 192 * (x < 0)
+    np.copyto(code, _BY_PERCENT, where=slow)
+    keep = _KEEP.take(code, axis=0)
+    keep[0, 0] = False
+    by_percent = np.flatnonzero(slow)
+    if by_percent.size:
+        cell[by_percent, 8:13] = np.frombuffer(b"%.12g", np.uint8)
+        if first != "%.12g":
+            cell[::cols, 8:13] = np.frombuffer(first.encode("ascii"), np.uint8)
+    text = np.compress(keep.ravel(), cell.ravel()).tobytes().decode("ascii")
+    if by_percent.size:
+        text %= tuple(x[by_percent].tolist())
+    return text + "\n"
+
+
 # The "%.12g" tokens whose text is not repr(float(token)): no "." (integers,
 # "-0", "nan", "inf", "1e-05"), exponents 12-15 (repr writes those out in full)
 # and e-3dd (subnormals keep fewer digits). Every other token has at most 12
@@ -265,18 +387,24 @@ def _repr_token(match) -> str:
     return json.dumps(float(match.group()))
 
 
+class _Unrounded(list):
+    """Floats that ``_to_json`` writes unrounded, as ``json.dumps`` does."""
+
+
 def _to_json(obj, indent: str = "") -> str:
     """``json.dumps(obj, indent=2)`` with every float rounded through ``%.12g``.
 
-    Floats and the cells of 1-D numpy arrays are rounded; arrays are written
-    as lists. Dict keys must be strings. ``indent`` is the indentation of the
-    line ``obj`` starts on.
+    Floats and the cells of 1-D numpy arrays are rounded, except in an
+    ``_Unrounded`` list; arrays are written as lists. Dict keys must be
+    strings. ``indent`` is the indentation of the line ``obj`` starts on.
     """
+    if isinstance(obj, _Unrounded):
+        return json.dumps(obj, indent=2).replace("\n", "\n" + indent)
     inner = indent + "  "
     if isinstance(obj, np.ndarray):
         if not obj.size:
             return "[]"
-        text = _REPR_DIFFERS.sub(_repr_token, ("%.12g\n" * obj.size) % tuple(obj.tolist()))
+        text = _REPR_DIFFERS.sub(_repr_token, _format_rows(obj.reshape(-1, 1)))
         return f"[\n{inner}" + text[:-1].replace("\n", ",\n" + inner) + f"\n{indent}]"
     if isinstance(obj, dict):
         if not obj:
@@ -305,7 +433,7 @@ def _t_format(grid: TimeGrid) -> str:
     widest = max(abs(grid.t0), abs(grid.t_end))
     if grid.step > 10.0 ** (math.floor(math.log10(widest)) - 9):
         return "%.12g"
-    texts = (("%.12g\n" * grid.num_points) % tuple(grid.nodes().tolist())).split()
+    texts = _format_rows(grid.nodes()[:, None]).split()
     return "%.12g" if all(a != b for a, b in zip(texts, texts[1:])) else "%.17g"
 
 
@@ -322,25 +450,27 @@ def band_to_csv(band: SolutionBand, handle: TextIO | None = None) -> str | None:
         header += f",lower_{_fmt(alpha)},upper_{_fmt(alpha)}"
     write(header + "\n")
     nodes = band.grid.nodes()
-    width = 1 + 2 * len(band.alphas)
-    row_fmt = ",".join([_t_format(band.grid)] + ["%.12g"] * (width - 1)) + "\n"
-    block = np.empty((min(BLOCK_ROWS, band.grid.num_points), width))
+    t_format = _t_format(band.grid)
+    block = np.empty((min(BLOCK_ROWS, band.grid.num_points), 1 + 2 * len(band.alphas)))
     for start in range(0, band.grid.num_points, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, band.grid.num_points)
         rows = block[:stop - start]
         rows[:, 0] = nodes[start:stop]
         rows[:, 1::2] = band.lower[:, start:stop].T
         rows[:, 2::2] = band.upper[:, start:stop].T
-        write((row_fmt * len(rows)) % tuple(rows.ravel().tolist()))
+        write(_format_rows(rows, t_format))
     return "".join(parts) if handle is None else None
 
 
 def band_to_json(band: SolutionBand) -> str:
+    t = band.grid.nodes()
+    if _t_format(band.grid) != "%.12g":  # twelve digits would print two nodes alike
+        t = _Unrounded(t.tolist())
     doc = {
         "grid": {"t0": band.grid.t0, "t_end": band.grid.t_end,
                  "num_points": band.grid.num_points},
         "alphas": list(band.alphas),
-        "t": band.grid.nodes(),
+        "t": t,
         "levels": [
             {"alpha": alpha, "lower": band.lower[k], "upper": band.upper[k]}
             for k, alpha in enumerate(band.alphas)
@@ -471,8 +601,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fuzzybvp",
         description="Solve linear ODE boundary value problems with fuzzy boundary values.",
         epilog="Exit codes: 0 success; 1 validation or usage error, integration "
-               "blow-up, or weights missing the unit property (UnitPropertyError); "
-               "2 crisp problem has no unique solution; 3 verification failure.",
+               "blow-up, weights missing the unit property (UnitPropertyError), or "
+               "a size too large for memory; 2 crisp problem has no unique solution; "
+               "3 verification failure.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -529,6 +660,9 @@ def main(argv=None) -> int:
     except (ValueError, IntegrationError, UnitPropertyError, SingularDiscretizationError,
             OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except MemoryError as exc:  # a size too large to allocate, as --points 10**11
+        sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
         return 1
 
 

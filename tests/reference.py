@@ -133,7 +133,8 @@ def envelope_scalar(problem, alpha, samples_per_axis, mesh):
 
 # --- Per-cell output formatting reference ---------------------------------
 # One f"{x:.12g}" per number, as the CLI wrote its output before it
-# formatted in blocks.  The block formatters must produce the same bytes.
+# formatted in blocks.  The digit-arithmetic writer must produce the same
+# bytes.
 
 
 def fmt12(x):
@@ -148,6 +149,13 @@ def round_tree(obj):
     if isinstance(obj, (list, tuple)):
         return [round_tree(v) for v in obj]
     return obj
+
+
+def rows_text(cells, first="%.12g"):
+    """One number at a time: the first column with ``first``, the others with
+    ``%.12g``, cells joined by "," and each row ended by a newline."""
+    return "".join(",".join([first % row[0]] + [fmt12(x) for x in row[1:]]) + "\n"
+                   for row in cells.tolist())
 
 
 def band_to_csv(band):
@@ -170,17 +178,21 @@ def band_to_csv(band):
 
 
 def band_to_json(band):
-    doc = {
+    nodes = [float(t) for t in band.grid.nodes()]
+    doc = round_tree({
         "grid": {"t0": band.grid.t0, "t_end": band.grid.t_end,
                  "num_points": band.grid.num_points},
         "alphas": list(band.alphas),
-        "t": list(band.grid.nodes()),
+        "t": nodes,
         "levels": [
             {"alpha": alpha, "lower": list(band.lower[k]), "upper": list(band.upper[k])}
             for k, alpha in enumerate(band.alphas)
         ],
-    }
-    return json.dumps(round_tree(doc), indent=2) + "\n"
+    })
+    # t is written unrounded when 12 digits would print two nodes alike
+    if len(set(map(fmt12, nodes))) < len(nodes):
+        doc["t"] = nodes
+    return json.dumps(doc, indent=2) + "\n"
 
 
 # --- Character-loop tokenizer ---------------------------------------------

@@ -20,6 +20,7 @@ from fuzzybvp.cli import (
     VERIFY_DEFAULT_SAMPLES,
     VERIFY_DEFAULT_TOLERANCE,
     ProblemFormatError,
+    _format_rows,
     _read_document,
     _to_json,
     band_to_csv,
@@ -603,15 +604,65 @@ class TestStreamedSolve:
         assert err == b""
 
 
+def float_from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def neighbours(x):
+    return [float(np.nextafter(x, -np.inf)), x, float(np.nextafter(x, np.inf))]
+
+
+# (k + 0.5) * 10**-j scales back to a product on a half or one float from it,
+# for exponents 11 down to -4; 999999999999.5 rounds up to 1e12
+HALVES = [y for k in (100000000000, 123456789012, 500000000000, 999999999999)
+          for j in range(16) for y in neighbours((k + 0.5) / 10 ** j)]
+# products clear of a half that round up to 1e12, so the exponent goes up by one
+CARRIES = [(10 ** 12 - 0.3) / 10 ** j for j in range(17)]
+POWERS_OF_TEN = [y for j in range(-8, 14) for y in neighbours(float(f"1e{j}"))]
+EDGE_CELLS = [*HALVES, *CARRIES, *POWERS_OF_TEN, 9.9999999999995e-5, 999999999999.5,
+              99999999999.95, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 0.0,
+              float("nan"), float("inf")]
+
+
+class TestFormatRows:
+    """``_format_rows`` writes the bytes of one ``%`` per cell."""
+
+    @pytest.mark.parametrize("first", ["%.12g", "%.17g"])
+    @pytest.mark.parametrize("cols", [1, 7])
+    def test_edge_cells_match_per_cell_reference(self, cols, first):
+        cells = np.array(EDGE_CELLS + [-x for x in EDGE_CELLS])
+        cells = np.resize(cells, (-(-len(cells) // cols), cols))
+        assert_same_text(_format_rows(cells, first), reference.rows_text(cells, first))
+
+
+# Raw 64-bit patterns; in half of them the exponent field is moved to
+# 2**-18 .. 2**42, around the [1e-4, 1e12) that %.12g writes without an
+# exponent, so that blocks mix digit-arithmetic cells with "%" cells.
+block_cells = st.builds(
+    lambda bits, near: float_from_bits(
+        bits & ~(0x7FF << 52) | (1005 + (bits >> 52) % 61) << 52 if near else bits),
+    st.integers(min_value=0, max_value=2**64 - 1), st.booleans())
+
+
+@given(st.integers(min_value=1, max_value=12).flatmap(
+           lambda cols: st.lists(block_cells, min_size=cols, max_size=12 * cols).map(
+               lambda cells: np.array(cells[:len(cells) // cols * cols]).reshape(-1, cols))),
+       st.sampled_from(["%.12g", "%.17g"]))
+def test_format_rows_matches_percent_over_the_block(cells, first):
+    rows, cols = cells.shape
+    row_fmt = ",".join([first] + ["%.12g"] * (cols - 1)) + "\n"
+    assert _format_rows(cells, first) == (row_fmt * rows) % tuple(cells.ravel().tolist())
+
+
 @given(st.integers(min_value=0, max_value=2**64 - 1))
 def test_percent_format_matches_f_string_for_every_float64(bits):
-    x = struct.unpack("<d", struct.pack("<Q", bits))[0]
+    x = float_from_bits(bits)
     assert "%.12g" % x == f"{x:.12g}" == f"{np.float64(x):.12g}"
 
 
 @given(st.integers(min_value=0, max_value=2**64 - 1))
 def test_to_json_series_matches_json_module_for_every_float64(bits):
-    x = struct.unpack("<d", struct.pack("<Q", bits))[0]
+    x = float_from_bits(bits)
     assert _to_json(np.array([x])) == json.dumps([float(f"{x:.12g}")], indent=2)
 
 
@@ -801,6 +852,18 @@ class TestTColumn:
         band = solve_fuzzy_bvp(load(str(path))).band([1.0], grid=TimeGrid(5.0, 5.0 + 1e-11, 3))
         assert_same_text(text, reference.band_to_csv(band))
 
+    def test_json_t_gives_back_nodes_that_twelve_digits_confuse(self, tmp_path, capsys):
+        # the JSON t series is written unrounded where the CSV column takes
+        # seventeen digits; every other value keeps its twelve
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(straight_line_document(2, 5.0, 1e-11)), encoding="utf-8")
+        assert run_cli(["solve", str(path), "--points", "3", "--format", "json"]) == 0
+        text = capsys.readouterr().out
+        nodes = TimeGrid(5.0, 5.0 + 1e-11, 3).nodes()
+        assert json.loads(text)["t"] == list(nodes)
+        band = solve_fuzzy_bvp(load(str(path))).band([1.0], grid=TimeGrid(5.0, 5.0 + 1e-11, 3))
+        assert_same_text(text, reference.band_to_json(band))
+
     @pytest.mark.parametrize("points", [101, 100001])
     @pytest.mark.parametrize("which", [1, 2])
     def test_examples_keep_twelve_digit_t(self, tmp_path, which, points):
@@ -809,7 +872,33 @@ class TestTColumn:
         assert run_cli(["solve", path, "--points", str(points), "--out", str(out)]) == 0
         t = [row.split(",", 1)[0] for row in out.read_text(encoding="utf-8").splitlines()[1:]]
         t_end = float(EXAMPLE_PROBLEMS[which]["interval"]["T"])
-        assert t == [f"{x:.12g}" for x in TimeGrid(0.0, t_end, points).nodes()]
+        nodes = TimeGrid(0.0, t_end, points).nodes()
+        assert t == [f"{x:.12g}" for x in nodes]
+        assert run_cli(["solve", path, "--points", str(points), "--format", "json",
+                        "--out", str(out)]) == 0
+        t = json.loads(out.read_text(encoding="utf-8"))["t"]
+        assert t == [float(f"{x:.12g}") for x in nodes]
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 745. GiB for an array with shape (100000000000,) and data type "
+     "float64", "error: Unable to allocate 745. GiB for an array with shape (100000000000,) "
+                "and data type float64\n"),
+    ("", "error: out of memory\n"),
+], ids=["numpy message", "no message"])
+@pytest.mark.parametrize("command, target", [("solve", "solve_fuzzy_bvp"),
+                                             ("verify", "envelope")], ids=["solve", "verify"])
+def test_size_too_large_for_memory_exits_1_with_one_line(tmp_path, capsys, monkeypatch,
+                                                         command, target, message, line):
+    # as `solve --points 100000000000` (745 GiB) or `verify --samples 100000000`
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(f"fuzzybvp.cli.{target}", refuse)
+    out = tmp_path / "out"
+    assert run_cli([command, write_example(tmp_path, 1), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == line
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", [
