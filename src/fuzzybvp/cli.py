@@ -9,12 +9,14 @@ Subcommands:
 Every number is written as ``%.12g``, except a t column whose nodes twelve
 digits would not tell apart: CSV writes it as ``%.17g`` and JSON unrounded.
 ``_format_rows`` is the one writer of ``%.12g`` arrays. It builds the digits
-of most cells by integer arithmetic on the scaled value and leaves the rest
-to ``%``; the bytes are those of ``%`` on every cell.
+of every cell with a decimal exponent in [-11, 11] by integer arithmetic on
+the scaled value and leaves the rest to ``%``; the bytes are those of ``%``
+on every cell.
 ``solve`` writes each CSV block of rows to the file or to stdout as soon as
 it is formatted. The JSON of ``solve --format json`` and of the ``verify``
 report comes from ``_to_json``, the same bytes as
-``json.dumps(..., indent=2)`` of the rounded values. A reader that closes
+``json.dumps(..., indent=2)`` of the rounded values; ``_format_rows`` writes
+its series as JSON tokens in the same pass. A reader that closes
 stdout early (``fuzzybvp solve ... | head``) ends the output quietly.
 
 Exit codes: 0 success, 1 validation or usage error, a failed solve
@@ -32,7 +34,6 @@ import functools
 import json
 import math
 import os
-import re
 import sys
 from dataclasses import dataclass
 from typing import TextIO
@@ -257,21 +258,24 @@ def _fmt(x: float) -> str:
 
 
 # %.12g by digit arithmetic. A finite x != 0 whose decimal exponent E lies in
-# [-4, 11] is written without an exponent: its digits are the integer
-# m = round(|x| * 10**(11 - E)) in [1e11, 1e12), with the point after digit
-# E + 1 and the trailing zeros of the fraction dropped. The product rounds
-# once (10**k is exact) and is below 2**40, so it is within 2**-14 of the
+# [-11, 11] has 12 digits m = round(|x| * 10**(11 - E)) in [1e11, 1e12). For
+# E >= -4 they are written without an exponent: the point after digit E + 1
+# and the trailing zeros of the fraction dropped; for E < -4 as d1.d2...e-XX,
+# trailing zeros and a lone "." dropped. The product rounds once (10**k is
+# exact up to 10**22) and is below 2**40, so it is within 2**-14 of the
 # exact one; where it lies more than 2**-11 from a half, rint gives the
-# correctly rounded m. Every other cell -- 0, -0, nan, inf, exponent
-# notation, a product near a half or one rounding up to 1e12, and a first
+# correctly rounded m. Every other cell -- 0, -0, nan, inf, E > 11 or
+# E < -11, a product near a half or one rounding up to 1e12, and a first
 # column in another format -- is left to "%".
 
 # floor(log10|x|) + _BIAS is positive for every finite float, so a cast floors it
 _BIAS = 400
-# 10**(11 - E) at E + _BIAS for E in [-4, 11], and nan elsewhere, so that a
+# 10**(11 - E) at E + _BIAS for E in [-11, 11], and nan elsewhere, so that a
 # cell of any other exponent, or 0, inf or nan, fails the checks on its product
-_SCALE = np.array([np.nan] * (_BIAS - 4) + [float(10 ** k) for k in range(15, -1, -1)]
+_SCALE = np.array([np.nan] * (_BIAS - 11) + [float(10 ** k) for k in range(22, -1, -1)]
                   + [np.nan] * (_BIAS - 12))
+# "e-XX" for E = -11 .. -5 as little-endian 32-bit words
+_EXPONENTS = np.frombuffer(b"".join(b"e-%02d" % -e for e in range(-11, -4)), "<u4")
 # the text of 0..9999 as four digits in a little-endian 32-bit word, then the
 # same words with the first digit replaced by "."
 _PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode("ascii"), "<u2")
@@ -286,55 +290,65 @@ _PAIR_ZEROS = [2] + [int(i % 10 == 0) for i in range(1, 100)]
 _TRAILING_ZEROS = np.array([_PAIR_ZEROS] * 100, np.int8)
 _TRAILING_ZEROS[:, 0] = [2 + zeros for zeros in _PAIR_ZEROS]
 _TRAILING_ZEROS = _TRAILING_ZEROS.ravel()
-# A cell takes 32 bytes: the separator before it, "-", "0.", a byte never
-# kept, "000", its 12 digits, then "." and digits 2 to 12 again.
-# _KEEP[192 * negative + 12 * (E + 4) + trailing zeros of m] marks the bytes
+# A cell takes 32 bytes: the separator before it, "-", the first digit again
+# (kept only in exponent notation, so a stale one from an earlier pass is
+# never seen), "0.", "000", its 12 digits, then "." and digits 2 to 12 again,
+# whose first word an exponent cell overwrites with "e-XX".
+# _KEEP[276 * negative + 12 * (E + 11) + trailing zeros of m] marks the bytes
 # of its text. A cell left to "%" gets its format in place of its first
 # digits, and the last row keeps the separator and that format: the text of
-# a block is then a format string for its "%" cells.
-_CELL = np.frombuffer(b",-0.\x00000" + b"0" * 24, np.uint8)
-_BY_PERCENT = 384
+# a block is then a format string for its "%" cells. _JSON_KEEP differs in
+# two ways: an integer below 1e11 keeps "." and a "0" after it, and a cell
+# left to "%" has the format "%s".
+_CELL = np.frombuffer(b",-\x000.000" + b"0" * 24, np.uint8)
+_BY_PERCENT = 552
 # cells per pass: enough to spread the numpy calls, few enough to keep its arrays small
 _FORMAT_CELLS = 4096
 
 
-def _keep_table() -> np.ndarray:
+def _keep_table(as_json: bool) -> np.ndarray:
     keep = np.zeros((_BY_PERCENT + 1, 32), bool)
-    keep[:, 0] = keep[_BY_PERCENT, 8:13] = True
+    keep[:, 0] = keep[_BY_PERCENT, 8:10 if as_json else 13] = True
     for negative in (0, 1):
-        for exp in range(-4, 12):
+        for exp in range(-11, 12):
             for zeros in range(12):
-                row = keep[192 * negative + 12 * (exp + 4) + zeros]
+                row = keep[276 * negative + 12 * (exp + 11) + zeros]
                 row[1] = negative
-                if exp < 0:  # "0.", -exp - 1 zeros, the digits
-                    row[2:4] = row[5:4 - exp] = row[8:20 - zeros] = True
+                if exp < -4:  # the first digit, "." if more follow, the others, "e-XX"
+                    row[2] = row[9:20 - zeros] = row[20:24] = True
+                    row[4] = zeros < 11
+                elif exp < 0:  # "0.", -exp - 1 zeros, the digits
+                    row[3:5] = row[5:4 - exp] = row[8:20 - zeros] = True
                 else:  # the integer digits, then "." and the fraction if any is left
-                    fraction = max(0, 11 - exp - zeros)
+                    fraction = max(0, 11 - exp - zeros, as_json and exp < 11)
                     row[8:9 + exp] = True
                     row[20] = fraction > 0
                     row[21 + exp:21 + exp + fraction] = True
     return keep
 
 
-_KEEP = _keep_table()
+_KEEP = _keep_table(False)
+_JSON_KEEP = _keep_table(True)
 
 
-def _format_rows(cells: np.ndarray, first: str = "%.12g") -> str:
+def _format_rows(cells: np.ndarray, first: str = "%.12g", as_json: bool = False) -> str:
     """A 2-D float block as text: cells joined by "," and every row ended by
     a newline. The first column is written with ``first`` ("%.12g" or
     "%.17g"), the others with "%.12g": the same bytes as one ``%`` of the
-    row format over the cells.
+    row format over the cells. With ``as_json`` every cell is the JSON token
+    ``json.dumps(float("%.12g" % x))`` instead: "3.0", "-0.0", "NaN", and
+    the digits in full for exponents 12 to 15.
     """
     rows, cols = cells.shape
     step = max(1, _FORMAT_CELLS // cols)
     buf = np.empty((min(step, rows), cols, 32), np.uint8)
     buf[:] = _CELL
     buf[:, 0, 0] = ord("\n")  # a row's first cell follows the end of the row before
-    return "".join(_format_pass(cells[start:start + step], first, buf)
+    return "".join(_format_pass(cells[start:start + step], first, as_json, buf)
                    for start in range(0, rows, step))
 
 
-def _format_pass(cells: np.ndarray, first: str, buf: np.ndarray) -> str:
+def _format_pass(cells: np.ndarray, first: str, as_json: bool, buf: np.ndarray) -> str:
     rows, cols = cells.shape
     x = cells.ravel()
     cell = buf[:rows].reshape(x.size, 32)
@@ -346,6 +360,8 @@ def _format_pass(cells: np.ndarray, first: str, buf: np.ndarray) -> str:
         fast = (p >= 1e11) & (m < 1e12) & (np.abs(p - m) < 0.5 - 2.0 ** -11)
     if first != "%.12g":
         fast.reshape(rows, cols)[:, 0] = False
+    if as_json:  # a 12-digit integer has no room for its ".0"
+        fast &= exp != _BIAS + 11
     slow = ~fast
     np.copyto(m, 1e11, where=slow)
     m = m.astype(np.intp)
@@ -358,33 +374,28 @@ def _format_pass(cells: np.ndarray, first: str, buf: np.ndarray) -> str:
     words[:, 3] = words[:, 6] = _QUADS.take(mid)
     words[:, 4] = words[:, 7] = _QUADS.take(low)
     words[:, 5] = _QUADS.take(high + 10000)
+    if exp.min() < _BIAS - 4:  # exponent cells, or 0 or nan, which are left to "%"
+        cell[:, 2] = cell[:, 8]
+        np.copyto(words[:, 5], _EXPONENTS.take(exp - (_BIAS - 11), mode="clip"),
+                  where=exp < _BIAS - 4)
     zeros = _TRAILING_ZEROS.take(low) + (low == 0) * (
         _TRAILING_ZEROS.take(mid) + (mid == 0) * _TRAILING_ZEROS.take(high))
-    code = 12 * (exp - (_BIAS - 4)) + zeros + 192 * (x < 0)
+    code = 12 * (exp - (_BIAS - 11)) + zeros + 276 * (x < 0)
     np.copyto(code, _BY_PERCENT, where=slow)
-    keep = _KEEP.take(code, axis=0)
+    keep = (_JSON_KEEP if as_json else _KEEP).take(code, axis=0)
     keep[0, 0] = False
     by_percent = np.flatnonzero(slow)
     if by_percent.size:
-        cell[by_percent, 8:13] = np.frombuffer(b"%.12g", np.uint8)
+        fill = b"%s" if as_json else b"%.12g"
+        cell[by_percent, 8:8 + len(fill)] = np.frombuffer(fill, np.uint8)
         if first != "%.12g":
             cell[::cols, 8:13] = np.frombuffer(first.encode("ascii"), np.uint8)
     text = np.compress(keep.ravel(), cell.ravel()).tobytes().decode("ascii")
     if by_percent.size:
-        text %= tuple(x[by_percent].tolist())
+        slow_cells = x[by_percent].tolist()
+        text %= tuple([json.dumps(float(_fmt(v))) for v in slow_cells] if as_json
+                      else slow_cells)
     return text + "\n"
-
-
-# The "%.12g" tokens whose text is not repr(float(token)): no "." (integers,
-# "-0", "nan", "inf", "1e-05"), exponents 12-15 (repr writes those out in full)
-# and e-3dd (subnormals keep fewer digits). Every other token has at most 12
-# significant digits in the normal range, below DBL_DIG = 15, so repr of its
-# float has the same digits in the same notation.
-_REPR_DIFFERS = re.compile(r"^(?:[^.\n]+|.*e(?:\+1[2-5]|-3\d\d))$", re.M)
-
-
-def _repr_token(match) -> str:
-    return json.dumps(float(match.group()))
 
 
 class _Unrounded(list):
@@ -404,7 +415,7 @@ def _to_json(obj, indent: str = "") -> str:
     if isinstance(obj, np.ndarray):
         if not obj.size:
             return "[]"
-        text = _REPR_DIFFERS.sub(_repr_token, _format_rows(obj.reshape(-1, 1)))
+        text = _format_rows(obj.reshape(-1, 1), as_json=True)
         return f"[\n{inner}" + text[:-1].replace("\n", ",\n" + inner) + f"\n{indent}]"
     if isinstance(obj, dict):
         if not obj:
@@ -521,7 +532,7 @@ def _parse_tolerance(text: str) -> float:
     return value
 
 
-def _parse_points(text: str) -> int:
+def _parse_count(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
@@ -557,11 +568,13 @@ def cmd_verify(args) -> int:
         raise ProblemFormatError(
             [f"equation.order: verify supports order-2 two-point problems only, "
              f"got order {problem.ode.order}"])
-    mesh = FDMesh(problem.grid.t0, problem.grid.t_end, args.mesh)
+    try:  # both grids before any solve, so that a bad --mesh fails at once
+        mesh = FDMesh(problem.grid.t0, problem.grid.t_end, args.mesh)
+        band_grid = TimeGrid(problem.grid.t0, problem.grid.t_end, args.mesh + 2)
+    except ValueError as exc:
+        raise ValueError(f"argument --mesh: {exc}") from None
     oracle_band = envelope(problem, args.alpha, args.samples, mesh)
-    solution = solve_fuzzy_bvp(problem)
-    band_grid = TimeGrid(problem.grid.t0, problem.grid.t_end, mesh.interior_points + 2)
-    band = solution.band([args.alpha], grid=band_grid)
+    band = solve_fuzzy_bvp(problem).band([args.alpha], grid=band_grid)
     report = compare(band, oracle_band)
     passed = report.max_deviation <= args.tolerance
     doc = {
@@ -614,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--alphas", type=_parse_alpha_list, default=None,
                        help="comma-separated levels, e.g. 0,0.5,1 "
                             "(default: the problem file's output.alphas)")
-    solve.add_argument("--points", type=_parse_points, default=None,
+    solve.add_argument("--points", type=_parse_count, default=None,
                        help="number of output rows (default: output.points)")
     solve.add_argument("--out", default=None, help="output path (default: stdout)")
     solve.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -628,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("problem", help="path to the problem JSON file")
     verify.add_argument("--alpha", type=float, default=0.0,
                         help="alpha level to verify (default: 0)")
-    verify.add_argument("--samples", type=int, default=VERIFY_DEFAULT_SAMPLES,
+    verify.add_argument("--samples", type=_parse_count, default=VERIFY_DEFAULT_SAMPLES,
                         help="samples per rectangle axis (default: 2, the corners)")
     verify.add_argument("--mesh", type=int, default=VERIFY_DEFAULT_MESH,
                         help="interior mesh points for the oracle (default: 1999)")

@@ -495,7 +495,8 @@ class TestByteIdentity:
     @pytest.mark.parametrize("x", [
         -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.2250738585072009e-308,
         999999999999.5, 999999999999.4, 1e12, 1e15, 9.999999999999e15, 9.9999999999995e15,
-        1e16, 1e-4, 1e-5, 100.0, 1.7976931348623157e308,
+        1e16, 1e-4, 1e-5, 1e-11, 9.99999999999e-12, 100.0, 3.0, -2.0, 123456789012.0,
+        1.7976931348623157e308,
         float("nan"), float("inf"), float("-inf"),
     ])
     def test_to_json_series_at_notation_thresholds(self, x):
@@ -613,12 +614,13 @@ def neighbours(x):
 
 
 # (k + 0.5) * 10**-j scales back to a product on a half or one float from it,
-# for exponents 11 down to -4; 999999999999.5 rounds up to 1e12
+# for exponents 11 down to -11; 999999999999.5 rounds up to 1e12
 HALVES = [y for k in (100000000000, 123456789012, 500000000000, 999999999999)
-          for j in range(16) for y in neighbours((k + 0.5) / 10 ** j)]
-# products clear of a half that round up to 1e12, so the exponent goes up by one
-CARRIES = [(10 ** 12 - 0.3) / 10 ** j for j in range(17)]
-POWERS_OF_TEN = [y for j in range(-8, 14) for y in neighbours(float(f"1e{j}"))]
+          for j in range(23) for y in neighbours((k + 0.5) / 10 ** j)]
+# products clear of a half that round up to 1e12, so the exponent goes up by
+# one: 9.99999999999995e-5 (j = 16) is written 0.0001
+CARRIES = [(10 ** 12 - 0.3) / 10 ** j for j in range(24)]
+POWERS_OF_TEN = [y for j in range(-13, 14) for y in neighbours(float(f"1e{j}"))]
 EDGE_CELLS = [*HALVES, *CARRIES, *POWERS_OF_TEN, 9.9999999999995e-5, 999999999999.5,
               99999999999.95, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 0.0,
               float("nan"), float("inf")]
@@ -636,11 +638,11 @@ class TestFormatRows:
 
 
 # Raw 64-bit patterns; in half of them the exponent field is moved to
-# 2**-18 .. 2**42, around the [1e-4, 1e12) that %.12g writes without an
-# exponent, so that blocks mix digit-arithmetic cells with "%" cells.
+# 2**-40 .. 2**42, around the [1e-11, 1e12) that the digit arithmetic
+# writes, so that blocks mix digit-arithmetic cells with "%" cells.
 block_cells = st.builds(
     lambda bits, near: float_from_bits(
-        bits & ~(0x7FF << 52) | (1005 + (bits >> 52) % 61) << 52 if near else bits),
+        bits & ~(0x7FF << 52) | (983 + (bits >> 52) % 83) << 52 if near else bits),
     st.integers(min_value=0, max_value=2**64 - 1), st.booleans())
 
 
@@ -664,6 +666,20 @@ def test_percent_format_matches_f_string_for_every_float64(bits):
 def test_to_json_series_matches_json_module_for_every_float64(bits):
     x = float_from_bits(bits)
     assert _to_json(np.array([x])) == json.dumps([float(f"{x:.12g}")], indent=2)
+
+
+# Exponent-field moves, few-digit values and integers, so that series mix
+# ".0" integers, exponent notation and the tokens left to json.dumps.
+json_cells = st.one_of(
+    block_cells,
+    st.builds(lambda k, e: k * 10.0 ** e, st.integers(-999, 999), st.integers(-14, 16)),
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), 1e12, 123456789012.0]))
+
+
+@given(st.lists(json_cells, min_size=1, max_size=40))
+def test_to_json_series_of_mixed_cells_matches_json_module(cells):
+    assert _to_json(np.array(cells)) == json.dumps([float(f"{x:.12g}") for x in cells],
+                                                   indent=2)
 
 
 DELETE = object()
@@ -743,12 +759,27 @@ def test_unknown_built_in_example():
     (["solve", "{path}", "--alphas", "0,2"],
      "argument --alphas: alpha levels must lie in [0, 1]: '0,2'"),
     (["verify", "{path}", "--tolerance", "abc"], "argument --tolerance: not a number: 'abc'"),
+    (["verify", "{path}", "--mesh", "2"], "argument --mesh: need at least 3 interior points, got 2"),
+    (["verify", "{short}", "--mesh", "100000"],
+     "argument --mesh: 100002 points on [5.0, 5.00000000001]: half a step must exceed the "
+     "float spacing 8.88e-16 at the ends"),
+    (["verify", "{path}", "--samples", "1"], "argument --samples: must be an integer >= 2, got 1"),
+    (["verify", "{path}", "--samples", "two"], "argument --samples: not an integer: 'two'"),
 ])
-def test_flag_validation_messages(tmp_path, capsys, argv, message):
+def test_flag_validation_messages(tmp_path, capsys, monkeypatch, argv, message):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the oracle ran despite a usage error")
+
+    monkeypatch.setattr("fuzzybvp.cli.envelope", must_not_run)
     path = write_example(tmp_path, 1)
-    assert run_cli([arg.format(path=path) for arg in argv]) == 1
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps(straight_line_document(2, 5.0, 1e-11)), encoding="utf-8")
+    out = tmp_path / "out.txt"
+    argv = [arg.format(path=path, short=short) for arg in argv] + ["--out", str(out)]
+    assert run_cli(argv) == 1
     err = capsys.readouterr().err
     assert err.endswith(f"error: {message}\n")
+    assert not out.exists()
 
 
 def test_digit_that_is_not_decimal_is_a_field_error(tmp_path, capsys):
