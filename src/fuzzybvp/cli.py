@@ -112,6 +112,30 @@ def problem_from_document(doc) -> tuple[FuzzyBVP, OutputOptions]:
     def fail(path, message):
         errors.append(f"{path}: {message}")
 
+    def section(value, path, keys, what="required object is missing or not an object",
+                note=""):
+        """``value`` if it is an object, after failing each key not in ``keys``;
+        else None, after failing ``path`` with ``what``."""
+        if not isinstance(value, dict):
+            fail(path, what)
+            return None
+        for key in value:
+            if key not in keys:
+                fail(f"{path}.{key}", "unknown field" + note)
+        return value
+
+    def number(value, path):
+        if not _is_number(value):
+            fail(path, "must be a number")
+            return None
+        return float(value)
+
+    def integer(value, path, least, what):
+        if not isinstance(value, int) or isinstance(value, bool) or value < least:
+            fail(path, f"{what}, got {value!r}")
+            return None
+        return value
+
     if not isinstance(doc, dict):
         raise ProblemFormatError(["$: problem file must be a JSON object"])
     known = {"equation", "interval", "conditions", "output"}
@@ -122,18 +146,10 @@ def problem_from_document(doc) -> tuple[FuzzyBVP, OutputOptions]:
     order = None
     coeff_exprs = []
     forcing_expr = None
-    equation = doc.get("equation")
-    if not isinstance(equation, dict):
-        fail("equation", "required object is missing or not an object")
-    else:
-        for key in equation:
-            if key not in {"order", "coeffs", "forcing"}:
-                fail(f"equation.{key}", "unknown field")
-        raw_order = equation.get("order")
-        if not isinstance(raw_order, int) or isinstance(raw_order, bool) or raw_order < 1:
-            fail("equation.order", f"must be a positive integer, got {raw_order!r}")
-        else:
-            order = raw_order
+    equation = section(doc.get("equation"), "equation", {"order", "coeffs", "forcing"})
+    if equation is not None:
+        order = integer(equation.get("order"), "equation.order", 1,
+                        "must be a positive integer")
         coeffs = equation.get("coeffs")
         if not isinstance(coeffs, list) or not all(isinstance(c, str) for c in coeffs):
             fail("equation.coeffs", "must be a list of expression strings")
@@ -155,21 +171,10 @@ def problem_from_document(doc) -> tuple[FuzzyBVP, OutputOptions]:
                 fail("equation.forcing", str(exc))
 
     t0 = t_end = grid = None
-    interval = doc.get("interval")
-    if not isinstance(interval, dict):
-        fail("interval", "required object is missing or not an object")
-    else:
-        for key in interval:
-            if key not in {"t0", "T"}:
-                fail(f"interval.{key}", "unknown field")
-        if not _is_number(interval.get("t0")):
-            fail("interval.t0", "must be a number")
-        else:
-            t0 = float(interval["t0"])
-        if not _is_number(interval.get("T")):
-            fail("interval.T", "must be a number")
-        else:
-            t_end = float(interval["T"])
+    interval = section(doc.get("interval"), "interval", {"t0", "T"})
+    if interval is not None:
+        t0 = number(interval.get("t0"), "interval.t0")
+        t_end = number(interval.get("T"), "interval.T")
         if t0 is not None and t_end is not None:
             try:
                 grid = TimeGrid(t0, t_end, DEFAULT_STEPS + 1)
@@ -186,17 +191,10 @@ def problem_from_document(doc) -> tuple[FuzzyBVP, OutputOptions]:
                                f"got {len(conditions)}")
         for i, cond in enumerate(conditions):
             path = f"conditions[{i}]"
-            if not isinstance(cond, dict):
-                fail(path, "must be an object with fields t and value")
+            cond = section(cond, path, {"t", "value"}, "must be an object with fields t and value",
+                           " (only point-value conditions are supported)")
+            if cond is None or (point := number(cond.get("t"), f"{path}.t")) is None:
                 continue
-            for key in cond:
-                if key not in {"t", "value"}:
-                    fail(f"{path}.{key}", "unknown field (only point-value conditions "
-                                          "are supported)")
-            if not _is_number(cond.get("t")):
-                fail(f"{path}.t", "must be a number")
-                continue
-            point = float(cond["t"])
             if t0 is not None and t_end is not None and not t0 <= point <= t_end:
                 fail(f"{path}.t", f"must lie in [{t0}, {t_end}], got {point}")
             try:
@@ -212,37 +210,24 @@ def problem_from_document(doc) -> tuple[FuzzyBVP, OutputOptions]:
     output = doc.get("output")
     points = DEFAULT_OUTPUT_POINTS
     alphas = DEFAULT_OUTPUT_ALPHAS
-    if output is not None:
-        if not isinstance(output, dict):
-            fail("output", "must be an object")
-        else:
-            for key in output:
-                if key not in {"points", "alphas"}:
-                    fail(f"output.{key}", "unknown field")
-            if "points" in output:
-                raw = output["points"]
-                if not isinstance(raw, int) or isinstance(raw, bool) or raw < 2:
-                    fail("output.points", f"must be an integer >= 2, got {raw!r}")
-                else:
-                    points = raw
-            if "alphas" in output:
-                raw = output["alphas"]
-                if (not isinstance(raw, list) or not raw
-                        or not all(_is_number(a) for a in raw)
-                        or not all(0.0 <= float(a) <= 1.0 for a in raw)):
-                    fail("output.alphas", "must be a non-empty list of levels in [0, 1]")
-                else:
-                    alphas = tuple(float(a) for a in raw)
+    if output is not None and section(output, "output", {"points", "alphas"},
+                                      "must be an object") is not None:
+        points = integer(output.get("points", points), "output.points", 2,
+                         "must be an integer >= 2")
+        if "alphas" in output:
+            raw = output["alphas"]
+            if (not isinstance(raw, list) or not raw
+                    or not all(_is_number(a) for a in raw)
+                    or not all(0.0 <= float(a) <= 1.0 for a in raw)):
+                fail("output.alphas", "must be a non-empty list of levels in [0, 1]")
+            else:
+                alphas = tuple(float(a) for a in raw)
 
     if errors:
         raise ProblemFormatError(errors)
 
     ode = LinearODE(order, tuple(coeff_exprs), forcing_expr)
-    try:
-        problem = FuzzyBVP(ode, tuple(parsed_conditions), grid)
-    except ValueError as exc:
-        raise ProblemFormatError([f"conditions: {exc}"]) from None
-    return problem, OutputOptions(points, alphas)
+    return FuzzyBVP(ode, tuple(parsed_conditions), grid), OutputOptions(points, alphas)
 
 
 def _read_document(path: str) -> dict:
@@ -512,34 +497,34 @@ def _output(out: str | None):
         os.close(devnull)
 
 
-def _parse_alpha_list(text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated list of numbers: {text!r}")
-    if not values or not all(0.0 <= a <= 1.0 for a in values):
-        raise argparse.ArgumentTypeError(f"alpha levels must lie in [0, 1]: {text!r}")
-    return values
+def _checked(convert, what: str, test, message: str):
+    """An argparse type: ``convert`` the text, or fail with "not <what>", then
+    fail with ``message``, formatted with the text and the value, unless
+    ``test`` holds of the value."""
+
+    def check(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not {what}: {text!r}") from None
+        if not test(value):
+            raise argparse.ArgumentTypeError(message.format(text=text, value=value))
+        return value
+
+    return check
 
 
-def _parse_tolerance(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not 0.0 <= value < float("inf"):  # also rejects nan
-        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0: {text!r}")
-    return value
-
-
-def _parse_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 2, got {value}")
-    return value
+# each range test is false for nan
+_parse_alpha = _checked(float, "a number", lambda alpha: 0.0 <= alpha <= 1.0,
+                        "alpha must lie in [0, 1]: {text!r}")
+_parse_alpha_list = _checked(lambda text: tuple(float(part) for part in text.split(",")),
+                             "a comma-separated list of numbers",
+                             lambda values: all(0.0 <= a <= 1.0 for a in values),
+                             "alpha levels must lie in [0, 1]: {text!r}")
+_parse_tolerance = _checked(float, "a number", lambda value: 0.0 <= value < float("inf"),
+                            "tolerance must be finite and >= 0: {text!r}")
+_parse_count = _checked(int, "an integer", lambda value: value >= 2,
+                        "must be an integer >= 2, got {value}")
 
 
 def cmd_solve(args) -> int:
@@ -639,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "boundary alpha-cut rectangle and report deviations from "
                     "the solver band.")
     verify.add_argument("problem", help="path to the problem JSON file")
-    verify.add_argument("--alpha", type=float, default=0.0,
+    verify.add_argument("--alpha", type=_parse_alpha, default=0.0,
                         help="alpha level to verify (default: 0)")
     verify.add_argument("--samples", type=_parse_count, default=VERIFY_DEFAULT_SAMPLES,
                         help="samples per rectangle axis (default: 2, the corners)")

@@ -172,8 +172,7 @@ class ParametricFuzzyNumber:
     def from_triangular(cls, tri: TriangularFuzzyNumber,
                         num_levels: int = DEFAULT_NUM_LEVELS) -> "ParametricFuzzyNumber":
         alphas = np.linspace(0.0, 1.0, num_levels)
-        return cls(alphas, tri.left + alphas * (tri.peak - tri.left),
-                   tri.right - alphas * (tri.right - tri.peak))
+        return cls(alphas, *_sample_linear_tri(tri, alphas))
 
     @property
     def vertex(self) -> float:

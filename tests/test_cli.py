@@ -710,6 +710,22 @@ DELETE = object()
     (("output", "alphas"), [0, 2], "output.alphas: must be a non-empty list of levels in [0, 1]"),
     (("output", "alphas"), [], "output.alphas: must be a non-empty list of levels in [0, 1]"),
     (("output", "alphas"), "0", "output.alphas: must be a non-empty list of levels in [0, 1]"),
+    (("conditions",), [{"t": t, "value": {"type": "triangular", "l": 1, "m": 2, "r": 3}}
+                       for t in (0, 0.5, 1)],
+     "conditions: expected 2 conditions for order 2, got 3"),
+    (("conditions", 1, "t"), 0, "conditions: condition times must be pairwise distinct, "
+                                "got [0.0, 0.0]"),
+    (("conditions", 1, "t"), 4, "conditions[1].t: must lie in [0.0, 1.0], got 4.0"),
+    (("conditions", 0, "derivative"), 1,
+     "conditions[0].derivative: unknown field (only point-value conditions are supported)"),
+    (("conditions", 0, "t"), "0", "conditions[0].t: must be a number"),
+    (("interval", "T"), "1", "interval.T: must be a number"),
+    (("interval", "T"), float("inf"), "interval: length T - t0 must be finite, got [0.0, inf]"),
+    (("equation", "coeffs", 1), "2 +",
+     "equation.coeffs[1]: expected a value, found end of input (column 4)"),
+    (("conditions", 0, "value"), {"type": "triangular", "l": 3, "m": 2, "r": 1},
+     "conditions[0].value: triangular fuzzy number requires left <= peak <= right, "
+     "got (3.0, 2.0, 1.0)"),
 ])
 def test_validation_messages_name_the_json_path(path, value, error):
     doc = example_problem_document(1)
@@ -765,6 +781,11 @@ def test_unknown_built_in_example():
      "float spacing 8.88e-16 at the ends"),
     (["verify", "{path}", "--samples", "1"], "argument --samples: must be an integer >= 2, got 1"),
     (["verify", "{path}", "--samples", "two"], "argument --samples: not an integer: 'two'"),
+    (["verify", "{path}", "--alpha", "2"], "argument --alpha: alpha must lie in [0, 1]: '2'"),
+    (["verify", "{path}", "--alpha", "nan"], "argument --alpha: alpha must lie in [0, 1]: 'nan'"),
+    (["verify", "{path}", "--alpha", "-0.5"],
+     "argument --alpha: alpha must lie in [0, 1]: '-0.5'"),
+    (["verify", "{path}", "--alpha", "x"], "argument --alpha: not a number: 'x'"),
 ])
 def test_flag_validation_messages(tmp_path, capsys, monkeypatch, argv, message):
     def must_not_run(*args, **kwargs):
