@@ -12,11 +12,11 @@ digits would not tell apart: CSV writes it as ``%.17g`` and JSON unrounded.
 of every cell with a decimal exponent in [-11, 11] by integer arithmetic on
 the scaled value and leaves the rest to ``%``; the bytes are those of ``%``
 on every cell.
-``solve`` writes each CSV block of rows to the file or to stdout as soon as
-it is formatted. The JSON of ``solve --format json`` and of the ``verify``
-report comes from ``_to_json``, the same bytes as
-``json.dumps(..., indent=2)`` of the rounded values; ``_format_rows`` writes
-its series as JSON tokens in the same pass. A reader that closes
+``solve`` computes and writes the CSV a block of rows at a time, so its
+memory does not grow with the rows; ``--format json`` holds the whole band.
+The JSON of ``solve`` and of the ``verify`` report comes from ``_to_json``,
+the same bytes as ``json.dumps(..., indent=2)`` of the rounded values, its
+series written as JSON tokens by ``_format_rows``. A reader that closes
 stdout early (``fuzzybvp solve ... | head``) ends the output quietly.
 
 Exit codes: 0 success, 1 validation or usage error, a failed solve
@@ -51,7 +51,7 @@ from .ode import (
     UnitPropertyError,
 )
 from .oracle import FDMesh, SingularDiscretizationError, compare, envelope
-from .solver import BLOCK_ROWS, FuzzyBVP, SolutionBand, solve_fuzzy_bvp
+from .solver import BLOCK_ROWS, FuzzyBVP, SolutionBand, _levels, solve_fuzzy_bvp
 
 DEFAULT_OUTPUT_POINTS = 101
 DEFAULT_OUTPUT_ALPHAS = (0.0, 0.5, 1.0)
@@ -433,27 +433,21 @@ def _t_format(grid: TimeGrid) -> str:
     return "%.12g" if all(a != b for a, b in zip(texts, texts[1:])) else "%.17g"
 
 
-def band_to_csv(band: SolutionBand, handle: TextIO | None = None) -> str | None:
+def band_to_csv(alphas, blocks, t_format: str, handle: TextIO | None = None) -> str | None:
     """The band as CSV: one t column and a lower and an upper column per level.
 
-    The text is returned, or written to ``handle`` block by block as it is
-    formatted, so that only one block of text exists at a time.
+    ``blocks`` yields ``(t, lower, upper)`` as ``FuzzySolution.band_blocks``
+    does, and ``t_format`` is ``_t_format`` of the grid. The text is
+    returned, or written to ``handle`` block by block as it is formatted, so
+    that only one block of band and of text exists at a time.
     """
     parts = []
     write = parts.append if handle is None else handle.write
-    header = "t"
-    for alpha in band.alphas:
-        header += f",lower_{_fmt(alpha)},upper_{_fmt(alpha)}"
-    write(header + "\n")
-    nodes = band.grid.nodes()
-    t_format = _t_format(band.grid)
-    block = np.empty((min(BLOCK_ROWS, band.grid.num_points), 1 + 2 * len(band.alphas)))
-    for start in range(0, band.grid.num_points, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, band.grid.num_points)
-        rows = block[:stop - start]
-        rows[:, 0] = nodes[start:stop]
-        rows[:, 1::2] = band.lower[:, start:stop].T
-        rows[:, 2::2] = band.upper[:, start:stop].T
+    write("t" + "".join(f",lower_{_fmt(a)},upper_{_fmt(a)}" for a in alphas) + "\n")
+    block = np.empty((BLOCK_ROWS, 1 + 2 * len(alphas)))
+    for t, lower, upper in blocks:
+        rows = block[:t.size]
+        rows[:, 0], rows[:, 1::2], rows[:, 2::2] = t, lower.T, upper.T
         write(_format_rows(rows, t_format))
     return "".join(parts) if handle is None else None
 
@@ -525,11 +519,13 @@ _parse_tolerance = _checked(float, "a number", lambda value: 0.0 <= value < floa
                             "tolerance must be finite and >= 0: {text!r}")
 _parse_count = _checked(int, "an integer", lambda value: value >= 2,
                         "must be an integer >= 2, got {value}")
+_parse_mesh = _checked(int, "an integer", lambda value: value >= 3,
+                       "need at least 3 interior points, got {value}")
 
 
 def cmd_solve(args) -> int:
     problem, output = problem_from_document(_read_document(args.problem))
-    alphas = args.alphas if args.alphas is not None else output.alphas
+    alphas = _levels(args.alphas if args.alphas is not None else output.alphas)
     points = args.points if args.points is not None else output.points
     try:
         out_grid = TimeGrid(problem.grid.t0, problem.grid.t_end, points)
@@ -538,12 +534,16 @@ def cmd_solve(args) -> int:
             raise ValueError(f"argument --points: {exc}") from None
         raise ProblemFormatError([f"output.points: {exc}"]) from None
     solution = solve_fuzzy_bvp(problem)
-    band = solution.band(alphas, grid=out_grid)
+    # the JSON text and the t format before the output opens: a size error leaves no file
+    if args.format == "json":
+        text = band_to_json(solution.band(alphas, grid=out_grid))
+    else:
+        t_format = _t_format(out_grid)
     with _output(args.out) as handle:
-        if args.format == "csv":
-            band_to_csv(band, handle)
+        if args.format == "json":
+            handle.write(text)
         else:
-            handle.write(band_to_json(band))
+            band_to_csv(alphas, solution.band_blocks(alphas, out_grid), t_format, handle)
     return 0
 
 
@@ -628,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="alpha level to verify (default: 0)")
     verify.add_argument("--samples", type=_parse_count, default=VERIFY_DEFAULT_SAMPLES,
                         help="samples per rectangle axis (default: 2, the corners)")
-    verify.add_argument("--mesh", type=int, default=VERIFY_DEFAULT_MESH,
+    verify.add_argument("--mesh", type=_parse_mesh, default=VERIFY_DEFAULT_MESH,
                         help="interior mesh points for the oracle (default: 1999)")
     verify.add_argument("--tolerance", type=_parse_tolerance,
                         default=VERIFY_DEFAULT_TOLERANCE,

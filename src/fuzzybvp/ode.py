@@ -101,8 +101,16 @@ class TimeGrid:
     def step(self) -> float:
         return (self.t_end - self.t0) / (self.num_points - 1)
 
-    def nodes(self) -> np.ndarray:
-        return np.linspace(self.t0, self.t_end, self.num_points)
+    def nodes(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Nodes ``start`` to ``stop`` (all by default): i * step + t0, the
+        last node t_end, bit for bit the arithmetic of ``np.linspace``."""
+        stop = self.num_points if stop is None else stop
+        t = np.arange(start, stop, dtype=float)
+        t *= self.step
+        t += self.t0
+        if stop == self.num_points and stop > start:
+            t[-1] = self.t_end
+        return t
 
     def contains(self, t):
         """Whether t (a float, or elementwise for an array) lies in the interval."""

@@ -14,7 +14,7 @@ of the weight-scaled alpha-cuts of the uncertain parts.  Because the map
 from boundary values to the solution value at a fixed t is linear, the
 band endpoints at each node are attained at corners of the boundary-value
 box, which is what the sign-aware min/max accumulation of ``_cuts``
-computes; ``band`` and ``value_at`` both go through it.
+computes; ``band``, ``band_blocks`` and ``value_at`` go through it.
 """
 
 from __future__ import annotations
@@ -30,9 +30,17 @@ from .ode import (LinearODE, TimeGrid, Trajectory, WeightBasis, _basis_and_crisp
 # Unused here; bound for the benchmark tracer until ROADMAP item 1 re-points it.
 from .ode import combine, homogeneous_basis, integrate_ivp  # noqa: F401
 
-# Nodes per block of an off-grid band, and rows per block of its CSV: the
-# Hermite temporaries and the block's text stay small next to the band.
+# Nodes per block of a band, and rows per block of its CSV: the Hermite
+# temporaries, the block's cuts and its text stay small.
 BLOCK_ROWS = 4096
+
+
+def _levels(alphas) -> tuple[float, ...]:
+    """Alpha levels sorted ascending and deduplicated."""
+    levels = tuple(sorted({_check_alpha(a) for a in alphas}))
+    if not levels:
+        raise ValueError("at least one alpha level is required")
+    return levels
 
 
 @dataclass(frozen=True)
@@ -83,8 +91,8 @@ class SolutionBand:
 class FuzzySolution:
     """Lazy fuzzy solution: crisp trajectory, weights, and uncertain parts.
 
-    Bands are not precomputed; ``value_at`` and ``band`` evaluate the
-    requested cuts on demand.
+    Bands are not precomputed; ``value_at``, ``band`` and ``band_blocks``
+    evaluate the requested cuts on demand.
     """
 
     crisp: Trajectory
@@ -137,24 +145,38 @@ class FuzzySolution:
 
         Levels are sorted ascending and deduplicated; per node the returned
         intervals are nested across increasing alpha.  On another grid the
-        nodes are interpolated ``BLOCK_ROWS`` at a time; every step is
-        elementwise, so the blocks give the bits of one whole-grid pass.
+        arrays are filled from ``band_blocks``.
         """
-        levels = sorted({_check_alpha(a) for a in alphas})
-        if not levels:
-            raise ValueError("at least one alpha level is required")
+        levels = _levels(alphas)
         if grid is None or grid == self.grid:
             cuts = self._cuts(self.crisp.values, self.weight_basis.weights, levels)
-            return SolutionBand(self.grid, tuple(levels), *cuts)
-        nodes = grid.nodes()
+            return SolutionBand(self.grid, levels, *cuts)
         lower = np.empty((len(levels), grid.num_points))
         upper = np.empty_like(lower)
+        start = 0
+        for t, lo, hi in self.band_blocks(levels, grid):
+            lower[:, start:start + t.size], upper[:, start:start + t.size] = lo, hi
+            start += t.size
+        return SolutionBand(grid, levels, lower, upper)
+
+    def band_blocks(self, alphas, grid: TimeGrid):
+        """The band of ``band`` as ``(t, lower, upper)`` for each ``BLOCK_ROWS``
+        nodes of the grid, lower and upper ``(levels, nodes)``.
+
+        On the solution grid the blocks are slices of the node values; on
+        another grid the nodes are interpolated.  Every step is elementwise,
+        so the blocks give the bits of one whole-grid pass.
+        """
+        levels = _levels(alphas)
+        on_grid = grid == self.grid
         for start in range(0, grid.num_points, BLOCK_ROWS):
-            block = slice(start, start + BLOCK_ROWS)
-            ts = nodes[block]
-            lower[:, block], upper[:, block] = self._cuts(
-                self.crisp.value(ts), self.weight_basis.weight_at(ts), levels)
-        return SolutionBand(grid, tuple(levels), lower, upper)
+            t = grid.nodes(start, min(start + BLOCK_ROWS, grid.num_points))
+            if on_grid:
+                block = slice(start, start + t.size)
+                crisp, weights = self.crisp.values[block], self.weight_basis.weights[block]
+            else:
+                crisp, weights = self.crisp.value(t), self.weight_basis.weight_at(t)
+            yield (t, *self._cuts(crisp, weights, levels))
 
     def membership_of(self, boundary_values) -> float:
         """Possibility of the crisp trajectory with these boundary values:

@@ -22,6 +22,7 @@ from fuzzybvp.cli import (
     ProblemFormatError,
     _format_rows,
     _read_document,
+    _t_format,
     _to_json,
     band_to_csv,
     band_to_json,
@@ -31,7 +32,7 @@ from fuzzybvp.cli import (
     problem_from_document,
 )
 from fuzzybvp.fuzzy import TriangularFuzzyNumber
-from fuzzybvp.ode import TimeGrid
+from fuzzybvp.ode import DEFAULT_STEPS, TimeGrid
 from fuzzybvp.oracle import FDMesh, compare, envelope
 from fuzzybvp.solver import BLOCK_ROWS, SolutionBand, solve_fuzzy_bvp
 
@@ -423,7 +424,7 @@ class TestParserReuse:
 class TestCsvFormatting:
     def test_twelve_significant_digits(self, solution1):
         band = solution1.band([0.0])
-        text = band_to_csv(band)
+        text = csv_of(band)
         cell = text.strip().split("\n")[1].split(",")[1]
         assert len(cell.replace("-", "").replace(".", "").lstrip("0")) <= 12
 
@@ -456,6 +457,19 @@ def special_band(rows, seed=0):
     return SolutionBand(TimeGrid(-1.5, 2.5e3, rows), alphas, lower.copy(), upper.copy())
 
 
+def csv_of(band):
+    """``band_to_csv`` of a whole band, fed in ``BLOCK_ROWS``-node blocks as
+    ``FuzzySolution.band_blocks`` feeds it."""
+    grid = band.grid
+
+    def blocks():
+        for start in range(0, grid.num_points, BLOCK_ROWS):
+            stop = min(start + BLOCK_ROWS, grid.num_points)
+            yield grid.nodes(start, stop), band.lower[:, start:stop], band.upper[:, start:stop]
+
+    return band_to_csv(band.alphas, blocks(), _t_format(grid))
+
+
 def assert_same_text(text, expected):
     """Exact equality; a failure names the first differing line instead of
     diffing megabytes of output."""
@@ -476,7 +490,7 @@ class TestByteIdentity:
     @pytest.mark.parametrize("rows", BLOCK_EDGE_ROWS)
     def test_csv_matches_per_cell_reference(self, rows):
         band = special_band(rows)
-        text = band_to_csv(band)
+        text = csv_of(band)
         assert_same_text(text, reference.band_to_csv(band))
         assert text.count("\n") == rows + 1
 
@@ -551,10 +565,12 @@ class TestByteIdentity:
 
 
 class TestStreamedSolve:
-    """``solve`` writes each CSV block to its output as soon as it is formatted."""
+    """``solve`` computes each CSV block of the band and writes it to its
+    output as soon as it is formatted."""
 
     @pytest.mark.parametrize("to_file", [True, False], ids=["--out", "stdout"])
-    @pytest.mark.parametrize("rows", BLOCK_EDGE_ROWS)
+    # DEFAULT_STEPS + 1 rows are the solve grid's nodes: the on-grid blocks
+    @pytest.mark.parametrize("rows", BLOCK_EDGE_ROWS + (DEFAULT_STEPS + 1,))
     def test_solve_writes_the_bytes_of_band_to_csv(self, tmp_path, capsys, rows, to_file):
         path = write_example(tmp_path, 2)
         alphas = [0.0, 0.25, 0.6, 1.0]
@@ -563,7 +579,7 @@ class TestStreamedSolve:
         assert run_cli(argv + ["--out", str(out)] if to_file else argv) == 0
         text = out.read_bytes().decode("utf-8") if to_file else capsys.readouterr().out
         band = solve_fuzzy_bvp(load(path)).band(alphas, grid=TimeGrid(0.0, 2.0, rows))
-        assert_same_text(text, band_to_csv(band))
+        assert_same_text(text, csv_of(band))
         assert_same_text(text, reference.band_to_csv(band))
 
     @pytest.mark.parametrize("doc, code", [(STIFF_SHORT_OF_T_END, 1), (RESONANT, 2)],
@@ -576,18 +592,19 @@ class TestStreamedSolve:
         assert not out.exists()
 
     def test_dense_solve_holds_little_beyond_its_band(self, tmp_path):
-        # the 5-level band on 100001 nodes is 8.0 MB; neither the whole CSV
-        # text (14.7 MB) nor whole-grid Hermite temporaries exist at once
+        # the band is computed and written one block at a time, so memory
+        # does not grow with the rows: the 5-level band alone would be 8.0 MB
+        # at 100001 rows and 32 MB at 400001, and the CSV text 14.7 and 59 MB
         path = write_example(tmp_path, 1)
-        band_bytes = 2 * 5 * 100001 * 8
-        tracemalloc.start()
-        try:
-            assert run_cli(["solve", path, "--points", "100001", "--alphas",
-                            "0,0.25,0.5,0.75,1", "--out", str(tmp_path / "band.csv")]) == 0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * band_bytes
+        for rows in (100001, 400001):
+            tracemalloc.start()
+            try:
+                assert run_cli(["solve", path, "--points", str(rows), "--alphas",
+                                "0,0.25,0.5,0.75,1", "--out", os.devnull]) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4e6, rows
 
     def test_closed_stdout_ends_the_output_quietly(self, tmp_path):
         # as in `fuzzybvp solve ... | head -1`: the reader takes one line and
@@ -786,6 +803,7 @@ def test_unknown_built_in_example():
     (["verify", "{path}", "--alpha", "-0.5"],
      "argument --alpha: alpha must lie in [0, 1]: '-0.5'"),
     (["verify", "{path}", "--alpha", "x"], "argument --alpha: not a number: 'x'"),
+    (["verify", "{path}", "--mesh", "x"], "argument --mesh: not an integer: 'x'"),
 ])
 def test_flag_validation_messages(tmp_path, capsys, monkeypatch, argv, message):
     def must_not_run(*args, **kwargs):
@@ -939,10 +957,13 @@ class TestTColumn:
     ("", "error: out of memory\n"),
 ], ids=["numpy message", "no message"])
 @pytest.mark.parametrize("command, target", [("solve", "solve_fuzzy_bvp"),
-                                             ("verify", "envelope")], ids=["solve", "verify"])
+                                             ("verify", "envelope"), ("solve", "_t_format")],
+                         ids=["solve", "verify", "solve t format"])
 def test_size_too_large_for_memory_exits_1_with_one_line(tmp_path, capsys, monkeypatch,
                                                          command, target, message, line):
-    # as `solve --points 100000000000` (745 GiB) or `verify --samples 100000000`
+    # as `verify --samples 100000000`, or `solve --points 100000000000`,
+    # whose 745 GiB of nodes _t_format would allocate: each fails before the
+    # output opens
     def refuse(*args, **kwargs):
         raise MemoryError(message)
 

@@ -27,7 +27,7 @@ from fuzzybvp.ode import (
     solve_crisp_bvp,
     weight_functions,
 )
-from fuzzybvp.solver import FuzzyBVP, solve_fuzzy_bvp
+from fuzzybvp.solver import BLOCK_ROWS, FuzzyBVP, solve_fuzzy_bvp
 
 EX1_ODE = LinearODE.from_strings(2, ["-3", "2"], "4*t - 6")
 EX2_ODE = LinearODE.from_strings(2, ["0", "16"], "47 - 8*t^2")
@@ -88,6 +88,24 @@ class TestTimeGrid:
     def test_non_finite_length_rejected(self, t0, t_end):
         with pytest.raises(ValueError, match="t_end - t0 must be finite"):
             TimeGrid(t0, t_end, 11)
+
+    @pytest.mark.parametrize("num_points", [2, 4095, 4096, 4097, 8195, 100001])
+    @pytest.mark.parametrize("t0, t_end", [(0.0, 1.0), (0.0, 2.0), (-3.0, 7.0),
+                                           (5.0, 5.0 + 1e-11)])
+    def test_nodes_and_their_blocks_are_those_of_linspace(self, t0, t_end, num_points):
+        # a band's blocks take grid.nodes(start, stop) BLOCK_ROWS at a time;
+        # they must be the bits of the whole-grid linspace, at the last node too
+        if t0 == 5.0 and num_points > 5000:  # finer than floats resolve: no grid
+            with pytest.raises(ValueError, match="half a step"):
+                TimeGrid(t0, t_end, num_points)
+            return
+        grid = TimeGrid(t0, t_end, num_points)
+        expected = np.linspace(t0, t_end, num_points)
+        assert grid.nodes().tobytes() == expected.tobytes()
+        for start in range(0, num_points, BLOCK_ROWS):
+            stop = min(start + BLOCK_ROWS, num_points)
+            assert grid.nodes(start, stop).tobytes() == expected[start:stop].tobytes()
+        assert grid.nodes(num_points - 1).tobytes() == expected[-1:].tobytes()
 
 
 class TestIntegrateIvp:

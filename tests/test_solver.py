@@ -205,6 +205,20 @@ class TestBand:
         assert np.array_equal(band.lower, lower)
         assert np.array_equal(band.upper, upper)
 
+    @pytest.mark.parametrize("num_points", [None, 2 * BLOCK_ROWS + 3],
+                             ids=["solution grid", "off grid"])
+    def test_band_blocks_join_to_the_band(self, solution2, num_points):
+        # on the solution grid the blocks are slices of the node values,
+        # off it interpolated nodes; each holds BLOCK_ROWS nodes but the last
+        levels = [0.6, 0.0, 1.0, 0.6]
+        out = solution2.grid if num_points is None else TimeGrid(0.0, 2.0, num_points)
+        t, lower, upper = zip(*solution2.band_blocks(levels, out))
+        assert [block.size for block in t[:-1]] == [BLOCK_ROWS] * (len(t) - 1)
+        assert np.concatenate(t).tobytes() == np.linspace(0.0, 2.0, out.num_points).tobytes()
+        band = solution2.band(levels, grid=out)
+        assert np.array_equal(np.concatenate(lower, axis=1), band.lower)
+        assert np.array_equal(np.concatenate(upper, axis=1), band.upper)
+
 
 def interval_arithmetic_cut(solution, t, alpha):
     """Evaluate the solution cut by fuzzy scale/add instead of min/max."""

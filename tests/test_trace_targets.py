@@ -1,8 +1,8 @@
 """The benchmark tracer (perfbench/tracer.py) rebinds names of the package by
 string.  A refactor that drops or renames one of them would break a traced
 benchmark run without failing any other test, so this loads the tracer by
-path, traces one CLI solve of example 1, and checks the spans and the
-restore."""
+path, traces a CSV and a JSON CLI solve of example 1, and checks the spans
+and the restore."""
 
 import importlib.util
 import json
@@ -50,6 +50,9 @@ def test_traced_solve_records_layers_and_uninstall_restores_every_name(tracing, 
         assert all(vars(owner)[attr] is not original for owner, attr, original in before)
         tracer.op = 0
         assert cli.main(["solve", str(path), "--out", str(tmp_path / "band.csv")]) == 0
+        # the CSV is computed block by block; the JSON band still goes through band()
+        assert cli.main(["solve", str(path), "--format", "json",
+                         "--out", str(tmp_path / "band.json")]) == 0
     finally:
         tracer.uninstall()
     after = rebound_names(tracing)
@@ -64,6 +67,6 @@ def test_traced_solve_records_layers_and_uninstall_restores_every_name(tracing, 
     solve = next(s for s in tracer.spans if s.name == "solver.solve")
     weights = next(s for s in tracer.spans if s.name == "ode.weight_functions")
     assert weights.parent == solve.id
-    # one scan per solve: two coefficients and the forcing, each evaluated
-    # once as an array on the half-step lattice
-    assert calls["expressions.evaluate"] == 3
+    # one scan per solve, of the two solves: two coefficients and the
+    # forcing, each evaluated once as an array on the half-step lattice
+    assert calls["expressions.evaluate"] == 2 * 3
