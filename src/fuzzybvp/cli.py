@@ -13,10 +13,10 @@ of every cell with a decimal exponent in [-11, 11] by integer arithmetic on
 the scaled value and leaves the rest to ``%``; the bytes are those of ``%``
 on every cell.
 ``solve`` computes and writes the CSV a block of rows at a time, so its
-memory does not grow with the rows; ``--format json`` holds the whole band.
-The JSON of ``solve`` and of the ``verify`` report comes from ``_to_json``,
-the same bytes as ``json.dumps(..., indent=2)`` of the rounded values, its
-series written as JSON tokens by ``_format_rows``. A reader that closes
+memory does not grow with the rows unless ``_t_format`` must compare the
+texts of all nodes (a step near the 12th digit of |t|); JSON holds the whole
+band. The JSON of ``solve`` and ``verify`` is ``_to_json``'s: the bytes of
+``json.dumps(..., indent=2)`` of the rounded values. A reader that closes
 stdout early (``fuzzybvp solve ... | head``) ends the output quietly.
 
 Exit codes: 0 success, 1 validation or usage error, a failed solve
@@ -51,7 +51,7 @@ from .ode import (
     UnitPropertyError,
 )
 from .oracle import FDMesh, SingularDiscretizationError, compare, envelope
-from .solver import BLOCK_ROWS, FuzzyBVP, SolutionBand, _levels, solve_fuzzy_bvp
+from .solver import BLOCK_ROWS, FuzzyBVP, SolutionBand, alpha_levels, solve_fuzzy_bvp
 
 DEFAULT_OUTPUT_POINTS = 101
 DEFAULT_OUTPUT_ALPHAS = (0.0, 0.5, 1.0)
@@ -436,11 +436,11 @@ def _t_format(grid: TimeGrid) -> str:
 def band_to_csv(alphas, blocks, t_format: str, handle: TextIO | None = None) -> str | None:
     """The band as CSV: one t column and a lower and an upper column per level.
 
-    ``blocks`` yields ``(t, lower, upper)`` as ``FuzzySolution.band_blocks``
-    does, and ``t_format`` is ``_t_format`` of the grid. The text is
-    returned, or written to ``handle`` block by block as it is formatted, so
-    that only one block of band and of text exists at a time.
+    ``blocks`` yields ``(t, lower, upper)`` as ``band_blocks(alphas, grid)``
+    does; ``t_format`` is ``_t_format`` of the grid. The text is returned, or
+    written to ``handle`` block by block as it is formatted.
     """
+    alphas = alpha_levels(alphas)
     parts = []
     write = parts.append if handle is None else handle.write
     write("t" + "".join(f",lower_{_fmt(a)},upper_{_fmt(a)}" for a in alphas) + "\n")
@@ -525,7 +525,7 @@ _parse_mesh = _checked(int, "an integer", lambda value: value >= 3,
 
 def cmd_solve(args) -> int:
     problem, output = problem_from_document(_read_document(args.problem))
-    alphas = _levels(args.alphas if args.alphas is not None else output.alphas)
+    alphas = args.alphas if args.alphas is not None else output.alphas
     points = args.points if args.points is not None else output.points
     try:
         out_grid = TimeGrid(problem.grid.t0, problem.grid.t_end, points)

@@ -35,8 +35,9 @@ from .ode import combine, homogeneous_basis, integrate_ivp  # noqa: F401
 BLOCK_ROWS = 4096
 
 
-def _levels(alphas) -> tuple[float, ...]:
-    """Alpha levels sorted ascending and deduplicated."""
+def alpha_levels(alphas) -> tuple[float, ...]:
+    """Alpha levels sorted ascending and deduplicated: the order of a band's
+    levels and of its CSV columns."""
     levels = tuple(sorted({_check_alpha(a) for a in alphas}))
     if not levels:
         raise ValueError("at least one alpha level is required")
@@ -144,13 +145,11 @@ class FuzzySolution:
         """Alpha-cut band over a grid (the solution grid by default).
 
         Levels are sorted ascending and deduplicated; per node the returned
-        intervals are nested across increasing alpha.  On another grid the
-        arrays are filled from ``band_blocks``.
+        intervals are nested across increasing alpha.  The arrays are filled
+        from ``band_blocks``.
         """
-        levels = _levels(alphas)
-        if grid is None or grid == self.grid:
-            cuts = self._cuts(self.crisp.values, self.weight_basis.weights, levels)
-            return SolutionBand(self.grid, levels, *cuts)
+        grid = self.grid if grid is None else grid
+        levels = alpha_levels(alphas)
         lower = np.empty((len(levels), grid.num_points))
         upper = np.empty_like(lower)
         start = 0
@@ -160,14 +159,15 @@ class FuzzySolution:
         return SolutionBand(grid, levels, lower, upper)
 
     def band_blocks(self, alphas, grid: TimeGrid):
-        """The band of ``band`` as ``(t, lower, upper)`` for each ``BLOCK_ROWS``
-        nodes of the grid, lower and upper ``(levels, nodes)``.
+        """The alpha-cut band as ``(t, lower, upper)`` for each ``BLOCK_ROWS``
+        nodes of the grid, lower and upper ``(levels, nodes)`` with the
+        levels of ``alpha_levels``.
 
         On the solution grid the blocks are slices of the node values; on
         another grid the nodes are interpolated.  Every step is elementwise,
         so the blocks give the bits of one whole-grid pass.
         """
-        levels = _levels(alphas)
+        levels = alpha_levels(alphas)
         on_grid = grid == self.grid
         for start in range(0, grid.num_points, BLOCK_ROWS):
             t = grid.nodes(start, min(start + BLOCK_ROWS, grid.num_points))

@@ -428,6 +428,13 @@ class TestCsvFormatting:
         cell = text.strip().split("\n")[1].split(",")[1]
         assert len(cell.replace("-", "").replace(".", "").lstrip("0")) <= 12
 
+    def test_levels_are_sorted_for_header_and_columns(self, solution1):
+        # band_to_csv and band_blocks order the levels alike, whatever the caller's order
+        out, alphas = TimeGrid(0.0, 1.0, 11), [1.0, 0.0, 0.5, 1.0]
+        text = band_to_csv(alphas, solution1.band_blocks(alphas, out), "%.12g")
+        assert text.split("\n")[0] == "t,lower_0,upper_0,lower_0.5,upper_0.5,lower_1,upper_1"
+        assert_same_text(text, reference.band_to_csv(solution1.band([0.0, 0.5, 1.0], out)))
+
     def test_help_mentions_exit_codes(self, capsys):
         code = run_cli(["--help"])
         assert code == 0

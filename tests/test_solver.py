@@ -207,17 +207,22 @@ class TestBand:
 
     @pytest.mark.parametrize("num_points", [None, 2 * BLOCK_ROWS + 3],
                              ids=["solution grid", "off grid"])
-    def test_band_blocks_join_to_the_band(self, solution2, num_points):
-        # on the solution grid the blocks are slices of the node values,
-        # off it interpolated nodes; each holds BLOCK_ROWS nodes but the last
-        levels = [0.6, 0.0, 1.0, 0.6]
+    def test_band_blocks_are_blocks_of_one_whole_grid_pass(self, solution2, num_points):
+        # on the solution grid the blocks are slices of the node values, off
+        # it interpolated nodes; each holds BLOCK_ROWS nodes but the last, and
+        # together they give the bits of one pass over all nodes
         out = solution2.grid if num_points is None else TimeGrid(0.0, 2.0, num_points)
-        t, lower, upper = zip(*solution2.band_blocks(levels, out))
+        nodes = np.linspace(0.0, 2.0, out.num_points)
+        if num_points is None:
+            crisp, weights = solution2.crisp.values, solution2.weight_basis.weights
+        else:
+            crisp, weights = solution2.crisp.value(nodes), solution2.weight_basis.weight_at(nodes)
+        lower, upper = solution2._cuts(crisp, weights, [0.0, 0.6, 1.0])
+        t, lo, hi = zip(*solution2.band_blocks([0.6, 0.0, 1.0, 0.6], out))
         assert [block.size for block in t[:-1]] == [BLOCK_ROWS] * (len(t) - 1)
-        assert np.concatenate(t).tobytes() == np.linspace(0.0, 2.0, out.num_points).tobytes()
-        band = solution2.band(levels, grid=out)
-        assert np.array_equal(np.concatenate(lower, axis=1), band.lower)
-        assert np.array_equal(np.concatenate(upper, axis=1), band.upper)
+        assert np.concatenate(t).tobytes() == nodes.tobytes()
+        assert np.concatenate(lo, axis=1).tobytes() == lower.tobytes()
+        assert np.concatenate(hi, axis=1).tobytes() == upper.tobytes()
 
 
 def interval_arithmetic_cut(solution, t, alpha):
