@@ -271,8 +271,6 @@ def split_crisp(u: FuzzyNumber) -> tuple[float, FuzzyNumber]:
         v = u.peak
         return v, TriangularFuzzyNumber(u.left - v, 0.0, u.right - v)
     if isinstance(u, ParametricFuzzyNumber):
-        if abs(u.lower[-1] - u.upper[-1]) > VERTEX_TOL:
-            raise ValueError("fuzzy number has no unique vertex; cannot split")
         v = u.vertex
         return v, ParametricFuzzyNumber(u.alphas, u.lower - v, u.upper - v)
     raise TypeError(f"not a fuzzy number: {type(u).__name__}")

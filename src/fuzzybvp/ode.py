@@ -8,13 +8,12 @@ is integrated as a first-order companion system with classical fixed-step
 RK4, run on the block states through the companion structure (a shift plus
 one row) and carried from block to block.  One scan from the augmented
 identity gives a fundamental basis (canonical initial states) and a
-particular solution (zero initial state) together.  The weight
-functions are the basis combined with the inverse boundary matrix: one
-solve of the transposed boundary system for the basis values and slopes
-together, by an elimination that divides by each pivot so that the
-weights meet the unit property exactly at on-grid boundary points.  The
-crisp solution is the particular one plus the basis combination that
-meets the boundary values: what the fuzzy layer builds on.
+particular solution (zero initial state) together.  The crisp solution,
+the particular one plus the basis combination that meets the boundary
+values, and the basis fill one (n+1, 2, N) array of node values and slopes.
+The weight functions overwrite its basis rows: one solve of the transposed
+boundary system, by an elimination that divides by each pivot so that the
+weights meet the unit property exactly at on-grid boundary points.
 """
 
 from __future__ import annotations
@@ -314,8 +313,9 @@ def require_invertible(mat: np.ndarray, length: float) -> None:
     scale of the values; raises NonUniqueCrispSolution."""
     n = mat.shape[0]
     mat = mat * float(length) ** -np.arange(n)
-    det = float(np.linalg.det(mat))
-    scale = float(np.abs(mat).sum(axis=1).max()) ** n
+    row_sum, exponent = math.frexp(float(np.abs(mat).sum(axis=1).max()))
+    det = float(np.linalg.det(np.ldexp(mat, -exponent)))  # scaled by a power of two: exact
+    scale = row_sum ** n  # the row sums scaled into [0.5, 1), so no overflow
     if abs(det) <= SINGULARITY_RTOL * scale:
         raise NonUniqueCrispSolution(
             f"boundary matrix is numerically singular (|det| = {abs(det):.3e}, "
@@ -344,7 +344,7 @@ class WeightBasis:
 
 
 def _solve_dividing(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Overwrite the right-hand sides ``x`` with the solution X of
+    """Overwrite the right-hand sides ``x`` (rows x[i]) with the solution X of
     ``mat @ X = x``, and return it, by Gaussian elimination with partial
     pivoting on whole rows that divides each pivot row by its pivot: no
     reciprocal pivot is formed, so a right-hand side equal to column j of
@@ -366,27 +366,23 @@ def _solve_dividing(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def weight_functions(basis: Sequence[Trajectory], boundary_points: Sequence[float]) -> WeightBasis:
-    """Weight functions: the basis values times the inverse boundary matrix,
-    computed as one dividing solve of the transposed boundary system whose
-    right-hand sides are every node's basis values and then its slopes.
+def weight_functions(grid: TimeGrid, basis: np.ndarray,
+                     boundary_points: Sequence[float]) -> WeightBasis:
+    """Weight functions: the basis times the inverse boundary matrix, as one
+    dividing solve of the transposed boundary system whose right-hand sides
+    are the rows of ``basis`` (n, 2, N), basis solution i's node values and
+    slopes, which the weights overwrite and then view, read-only.
 
     Raises NonUniqueCrispSolution for a singular boundary matrix and
     UnitPropertyError when rounding leaves the weights off the unit
     property at a boundary point by more than KRONECKER_TOL.
     """
-    basis = tuple(basis)
     points = tuple(float(p) for p in boundary_points)
-    mat = boundary_matrix(basis, points)
-    grid = basis[0].grid
+    mat = _hermite(grid, *basis.transpose(1, 2, 0), np.array(points))
     require_invertible(mat, grid.t_end - grid.t0)
-    size = grid.num_points
-    solved = np.empty((len(basis), 2 * size))  # row i: basis i's values, then slopes
-    for i, traj in enumerate(basis):
-        solved[i, :size], solved[i, size:] = traj.values, traj.slopes
-    _solve_dividing(mat.T, solved)
-    solved.flags.writeable = False
-    wb = WeightBasis(grid, points, solved[:, :size].T, solved[:, size:].T)
+    _solve_dividing(mat.T, basis)
+    basis.flags.writeable = False
+    wb = WeightBasis(grid, points, *basis.transpose(1, 2, 0))
     miss = np.abs(wb.weight_at(np.array(points)) - np.eye(len(points))).max(axis=1)
     for p, r in zip(points, miss):
         if r > KRONECKER_TOL:
@@ -421,8 +417,8 @@ def combine(particular: Trajectory, basis: Sequence[Trajectory],
 
 
 def _basis_and_crisp(ode: LinearODE, grid: TimeGrid, points: Sequence[float],
-                     values: np.ndarray) -> tuple[tuple[Trajectory, ...], Trajectory]:
-    """Basis and crisp solution from one scan of the augmented identity.
+                     values: np.ndarray) -> tuple[np.ndarray, Trajectory]:
+    """One scan: basis and crisp node values and slopes (n+1, 2, N), and crisp trajectory.
 
     Columns 0..n-1 start from e_1, ..., e_n with forcing scale 0 (the
     basis), column n from the zero state with scale 1 (a particular
@@ -441,7 +437,10 @@ def _basis_and_crisp(ode: LinearODE, grid: TimeGrid, points: Sequence[float],
         combination = np.einsum("kij,j->ki", states[:, :, :n], coefficients)
         crisp = Trajectory(grid, states[:, :, n] + combination,
                            slopes[:, n] + slopes[:, :n] @ coefficients)
-    return tuple(Trajectory(grid, states[:, :, i], slopes[:, i]) for i in range(n)), crisp
+    columns = np.empty((n + 1, 2, grid.num_points))
+    columns[:n, 0], columns[:n, 1] = states[:, 0, :n].T, slopes[:, :n].T
+    columns[n, 0], columns[n, 1] = crisp.values, crisp.slopes
+    return columns, crisp
 
 
 def solve_crisp_bvp(ode: LinearODE, boundary, grid: TimeGrid) -> Trajectory:

@@ -6,7 +6,7 @@
    uncertain part,
 2. runs one RK4 scan that gives the homogeneous basis and a particular
    solution together, and solves the crisp problem with the vertex values,
-3. builds the weight functions at the boundary points from that basis,
+3. overwrites the basis with the weight functions at the boundary points,
 4. keeps the parts in a ``FuzzySolution``; bands are evaluated on demand.
 
 The solution value at (t, alpha) is the crisp value plus the interval sum
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import fuzzy
 from .fuzzy import FuzzyNumber, Interval, _check_alpha
-from .ode import (LinearODE, TimeGrid, Trajectory, WeightBasis, _basis_and_crisp,
+from .ode import (LinearODE, TimeGrid, Trajectory, WeightBasis, _basis_and_crisp, _hermite,
                   _validate_boundary, weight_functions)
 # Unused here; bound for the benchmark tracer until ROADMAP item 1 re-points it.
 from .ode import combine, homogeneous_basis, integrate_ivp  # noqa: F401
@@ -90,47 +90,51 @@ class SolutionBand:
 
 @dataclass(frozen=True)
 class FuzzySolution:
-    """Lazy fuzzy solution: crisp trajectory, weights, and uncertain parts.
+    """Lazy fuzzy solution: weights and crisp solution in one array, uncertain parts.
 
     Bands are not precomputed; ``value_at``, ``band`` and ``band_blocks``
     evaluate the requested cuts on demand.
     """
 
-    crisp: Trajectory
-    weight_basis: WeightBasis
+    grid: TimeGrid
+    boundary_points: tuple[float, ...]
+    columns: np.ndarray = field(repr=False)  # (n+1, 2, N) values, slopes; row n crisp
     uncertain_parts: tuple[FuzzyNumber, ...]
     crisp_boundary_values: tuple[float, ...]
 
     def __post_init__(self):
-        if self.crisp.grid != self.weight_basis.grid:
-            raise ValueError("crisp trajectory and weight basis must share a grid")
-        if len(self.uncertain_parts) != len(self.weight_basis.boundary_points):
+        if len(self.uncertain_parts) != len(self.boundary_points):
             raise ValueError("one uncertain part per weight function is required")
         for u in self.uncertain_parts:
             if abs(u.vertex) > fuzzy.VERTEX_TOL:
                 raise ValueError(f"uncertain part has vertex {u.vertex}, expected 0")
+        self.columns.flags.writeable = False
 
     @property
-    def grid(self) -> TimeGrid:
-        return self.crisp.grid
+    def crisp(self) -> Trajectory:  # states hold x only
+        return Trajectory(self.grid, self.columns[-1, :1].T, self.columns[-1, 1])
 
-    def _cuts(self, crisp, weights, levels) -> tuple[np.ndarray, np.ndarray]:
-        """Per-level lower and upper cut endpoints at crisp values ``crisp``
-        with weight vectors ``weights`` (shape ``crisp.shape + (n,)``).
+    @property
+    def weight_basis(self) -> WeightBasis:
+        return WeightBasis(self.grid, self.boundary_points, *self.columns[:-1].transpose(1, 2, 0))
+
+    def _cuts(self, columns, levels) -> tuple[np.ndarray, np.ndarray]:
+        """Per-level lower and upper cut endpoints at ``columns``, whose last
+        axis holds the n weights and then the crisp value.
 
         Each uncertain part adds the min and max of its weighted cut
         endpoints: the interval image of the boundary-value box under the
         linear value map.
         """
-        lower = np.empty((len(levels),) + np.shape(crisp))
+        lower = np.empty((len(levels),) + columns.shape[:-1])
         upper = np.empty_like(lower)
         for k, alpha in enumerate(levels):
             lo, hi = lower[k, ...], upper[k, ...]
-            lo[...] = hi[...] = crisp
+            lo[...] = hi[...] = columns[..., -1]
             for i, part in enumerate(self.uncertain_parts):
                 cut = part.alpha_cut(alpha)
-                a = weights[..., i] * cut.lo
-                b = weights[..., i] * cut.hi
+                a = columns[..., i] * cut.lo
+                b = columns[..., i] * cut.hi
                 lo += np.minimum(a, b)
                 hi += np.maximum(a, b)
         return lower, upper
@@ -138,7 +142,8 @@ class FuzzySolution:
     def value_at(self, t: float, alpha: float) -> Interval:
         """Alpha-cut of the solution value at time t."""
         alpha = _check_alpha(alpha)
-        lower, upper = self._cuts(self.crisp.value(t), self.weight_basis.weight_at(t), [alpha])
+        lower, upper = self._cuts(_hermite(self.grid, *self.columns.transpose(1, 2, 0), t),
+                                  [alpha])
         return fuzzy._checked_interval(float(lower[0]), float(upper[0]))
 
     def band(self, alphas, grid: TimeGrid | None = None) -> SolutionBand:
@@ -168,15 +173,12 @@ class FuzzySolution:
         so the blocks give the bits of one whole-grid pass.
         """
         levels = alpha_levels(alphas)
-        on_grid = grid == self.grid
+        values, slopes = self.columns.transpose(1, 2, 0)  # (nodes, n+1) each
         for start in range(0, grid.num_points, BLOCK_ROWS):
             t = grid.nodes(start, min(start + BLOCK_ROWS, grid.num_points))
-            if on_grid:
-                block = slice(start, start + t.size)
-                crisp, weights = self.crisp.values[block], self.weight_basis.weights[block]
-            else:
-                crisp, weights = self.crisp.value(t), self.weight_basis.weight_at(t)
-            yield (t, *self._cuts(crisp, weights, levels))
+            columns = (values[start:start + t.size] if grid == self.grid
+                       else _hermite(self.grid, values, slopes, t))
+            yield (t, *self._cuts(columns, levels))
 
     def membership_of(self, boundary_values) -> float:
         """Possibility of the crisp trajectory with these boundary values:
@@ -194,6 +196,6 @@ def solve_fuzzy_bvp(problem: FuzzyBVP) -> FuzzySolution:
     pairs = [fuzzy.split_crisp(u) for _, u in problem.conditions]
     crisp_values = tuple(float(v) for v, _ in pairs)
     points = problem.boundary_points
-    basis, crisp = _basis_and_crisp(problem.ode, problem.grid, points, np.array(crisp_values))
-    return FuzzySolution(crisp, weight_functions(basis, points), tuple(u for _, u in pairs),
-                         crisp_values)
+    columns = _basis_and_crisp(problem.ode, problem.grid, points, np.array(crisp_values))[0]
+    weight_functions(problem.grid, columns[:-1], points)  # in place, over the basis rows
+    return FuzzySolution(problem.grid, points, columns, tuple(u for _, u in pairs), crisp_values)

@@ -86,6 +86,29 @@ def solved_example2():
     return solve_fuzzy_bvp(make_example2())
 
 
+# --- Singularity verdict before the power-of-two scaling -----------------
+# ``ode.require_invertible`` as it was: the determinant and the n-th power
+# of the largest row sum of the unscaled matrix.  ``float(...) ** n``
+# raises OverflowError once that row sum passes ~1e154 (n = 2).
+
+
+def singular_unscaled(mat, length, rtol=1e-12):
+    """Whether the unscaled formula calls ``mat`` singular; None where its
+    numbers leave the float range (OverflowError, an infinite determinant,
+    or a threshold below the smallest normal float)."""
+    n = mat.shape[0]
+    mat = mat * float(length) ** -np.arange(n)
+    with np.errstate(all="ignore"):
+        det = float(np.linalg.det(mat))
+    try:
+        threshold = rtol * float(np.abs(mat).sum(axis=1).max()) ** n
+    except OverflowError:
+        return None
+    if not math.isfinite(det) or not np.finfo(float).tiny <= threshold < math.inf:
+        return None
+    return abs(det) <= threshold
+
+
 # --- Scalar finite-difference reference ----------------------------------
 # One plain-float Thomas solve per (left, right) pair, min/max accumulated
 # pair by pair.  The oracle's shared-factorization kernel must match it bit

@@ -232,6 +232,28 @@ class TestSolveCommand:
         assert err.startswith("error: weight functions miss the unit property")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("k", [3100, 3200])
+    def test_damped_problem_past_the_power_overflow_exits_2_with_one_line(self, tmp_path,
+                                                                         capsys, k):
+        # x'' + k x' = 0 on [0, 1]: the boundary matrix's row sums pass 1e154,
+        # whose square overflowed in the singularity test as a traceback.  The
+        # problem is well posed; it exits 2 until the solve grid follows the
+        # stiffness (ROADMAP item 8).
+        doc = {"equation": {"order": 2, "coeffs": [str(k), "0"], "forcing": "0"},
+               "interval": {"t0": 0, "T": 1},
+               "conditions": [
+                   {"t": 0, "value": {"type": "triangular", "l": -0.5, "m": 0, "r": 0.5}},
+                   {"t": 1, "value": {"type": "triangular", "l": 0.5, "m": 1, "r": 1.5}}]}
+        path, out = tmp_path / "damped.json", tmp_path / "band.csv"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["solve", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("boundary matrix is numerically singular")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
     def test_validation_error_exits_1(self, tmp_path, capsys):
         doc = example_problem_document(1)
         doc["equation"]["forcing"] = "4*t -"

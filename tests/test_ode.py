@@ -77,6 +77,13 @@ VARIABLE_ODES = {
 EDGE_POINTS = [201, 65, 9, 2, 3, 17, 1009]
 
 
+def basis_weights(basis, points):
+    """``weight_functions`` of a ``homogeneous_basis``: its node values and
+    slopes stacked into the (n, 2, N) block that the weights overwrite."""
+    block = np.array([[b.values, b.slopes] for b in basis])
+    return weight_functions(basis[0].grid, block, points)
+
+
 def analytic_trajectory(grid, fn, dfn):
     nodes = grid.nodes()
     states = np.column_stack([[fn(t) for t in nodes], [dfn(t) for t in nodes]])
@@ -236,21 +243,25 @@ class TestFusedScan:
                       for i, p in enumerate(points))
         solution = solve_fuzzy_bvp(FuzzyBVP(ode, conds, grid))
         basis = homogeneous_basis(ode, grid)
-        separate = weight_functions(basis, points)
+        separate = basis_weights(basis, points)
         assert np.array_equal(solution.weight_basis.weights, separate.weights)
         assert np.array_equal(solution.weight_basis.weight_slopes, separate.weight_slopes)
         # the crisp trajectory agrees with a particular solution integrated
         # on its own and corrected by the same basis combination, to rounding
         # (amplified by the boundary matrix's condition ~1e6 for k = 18)
+        vertices = [1.0 + i for i in range(len(points))]
+        crisp = solve_crisp_bvp(ode, list(zip(points, vertices)), grid)
+        assert np.array_equal(solution.crisp.values, crisp.values)
+        assert np.array_equal(solution.crisp.slopes, crisp.slopes)
         particular = integrate_ivp(ode, np.zeros(ode.order), grid)
-        residual = np.array([1.0 + i for i in range(len(points))]) - particular.value(points)
+        residual = np.array(vertices) - particular.value(points)
         coefficients = np.linalg.solve(boundary_matrix(basis, points), residual)
         states = particular.states + sum(c * b.states for c, b in zip(coefficients, basis))
         slopes = particular.slopes + sum(c * b.slopes for c, b in zip(coefficients, basis))
         scale = np.max(np.abs(states))
         tol = 2e-9 if name == "stiff-k18" else 1e-13
-        assert np.max(np.abs(solution.crisp.states - states)) <= tol * scale
-        assert np.max(np.abs(solution.crisp.slopes - slopes)) <= tol * scale
+        assert np.max(np.abs(crisp.states - states)) <= tol * scale
+        assert np.max(np.abs(crisp.slopes - slopes)) <= tol * scale
 
     @pytest.mark.parametrize("num_points", [1001, 100001])
     def test_example1_exponentials_within_rk4_bound(self, num_points):
@@ -365,14 +376,14 @@ class TestBoundaryMatrix:
 class TestWeightFunctions:
     def test_example1_closed_form(self):
         basis = homogeneous_basis(EX1_ODE, TimeGrid(0.0, 1.0, 1001))
-        wb = weight_functions(basis, [0.0, 1.0])
+        wb = basis_weights(basis, [0.0, 1.0])
         w = wb.weight_at(0.5)
         assert w[0] == pytest.approx(reference.ex1_w1(0.5), abs=1e-9)
         assert w[1] == pytest.approx(reference.ex1_w2(0.5), abs=1e-9)
 
     def test_example2_closed_form(self):
         basis = homogeneous_basis(EX2_ODE, TimeGrid(0.0, 2.0, 1001))
-        wb = weight_functions(basis, [0.0, 2.0])
+        wb = basis_weights(basis, [0.0, 2.0])
         w = wb.weight_at(1.0)
         assert w[0] == pytest.approx(reference.ex2_w1(1.0), abs=1e-9)
         assert w[1] == pytest.approx(reference.ex2_w2(1.0), abs=1e-9)
@@ -382,7 +393,7 @@ class TestWeightFunctions:
     def test_kronecker_property(self):
         for ode, t_end in ((EX1_ODE, 1.0), (EX2_ODE, 2.0)):
             basis = homogeneous_basis(ode, TimeGrid(0.0, t_end, 1001))
-            wb = weight_functions(basis, [0.0, t_end])
+            wb = basis_weights(basis, [0.0, t_end])
             for j, p in enumerate(wb.boundary_points):
                 unit = np.zeros(2)
                 unit[j] = 1.0
@@ -391,8 +402,24 @@ class TestWeightFunctions:
     def test_interior_boundary_points_accepted(self):
         # points need not be the interval ends
         basis = homogeneous_basis(EX1_ODE, TimeGrid(0.0, 1.0, 1001))
-        wb = weight_functions(basis, [0.25, 0.75])
+        wb = basis_weights(basis, [0.25, 0.75])
         assert np.max(np.abs(wb.weight_at(0.25) - [1.0, 0.0])) <= 1e-9
+
+    def test_weights_overwrite_the_basis_block_in_any_layout(self):
+        # the solve runs on the rows of the block in place and the weights
+        # view it; a block that is not C-contiguous gives the same bits
+        grid = TimeGrid(0.0, 1.0, 1001)
+        basis = homogeneous_basis(EX1_ODE, grid)
+        block = np.array([[b.values, b.slopes] for b in basis])
+        strided = np.array([[b.values for b in basis], [b.slopes for b in basis]]).transpose(1, 0, 2)
+        assert not strided.flags.c_contiguous
+        wb = weight_functions(grid, block, [0.0, 1.0])
+        assert np.shares_memory(wb.weights, block) and np.shares_memory(wb.weight_slopes, block)
+        assert not block.flags.writeable
+        assert np.array_equal(block[:, 0].T, wb.weights)
+        other = weight_functions(grid, strided, [0.0, 1.0])
+        assert np.array_equal(other.weights, wb.weights)
+        assert np.array_equal(other.weight_slopes, wb.weight_slopes)
 
     def test_resonant_problem_detected_as_singular(self):
         ode = LinearODE.from_strings(2, ["0", "pi^2"], "0")
@@ -402,13 +429,13 @@ class TestWeightFunctions:
         det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
         assert abs(det) < 1e-12 * np.abs(mat).sum(axis=1).max() ** 2
         with pytest.raises(NonUniqueCrispSolution):
-            weight_functions(basis, [0.0, 1.0])
+            basis_weights(basis, [0.0, 1.0])
 
     @pytest.mark.parametrize("k", [18, 19, 20])
     def test_stiff_weights_match_sinh_closed_forms(self, k):
         ode = LinearODE.from_strings(2, ["0", f"-{k * k}"], "0")
         grid = TimeGrid(0.0, 1.0, 1001)
-        wb = weight_functions(homogeneous_basis(ode, grid), [0.0, 1.0])
+        wb = basis_weights(homogeneous_basis(ode, grid), [0.0, 1.0])
         t = grid.nodes()
         assert np.max(np.abs(wb.weights[:, 0] - np.sinh(k * (1 - t)) / np.sinh(k))) <= 1e-6
         assert np.max(np.abs(wb.weights[:, 1] - np.sinh(k * t) / np.sinh(k))) <= 1e-6
@@ -421,7 +448,7 @@ class TestWeightFunctions:
         ode = LinearODE.from_strings(2, ["0", "-1156"], "0")
         basis = homogeneous_basis(ode, TimeGrid(0.0, 1.0, 1001))
         with pytest.raises(UnitPropertyError, match="unit property at boundary point"):
-            weight_functions(basis, [0.0, 0.7003])
+            basis_weights(basis, [0.0, 0.7003])
 
     @pytest.mark.parametrize("num_points", [1001, 2001, 4001])
     def test_point_within_rounding_of_a_node_is_that_node(self, num_points):
@@ -429,7 +456,7 @@ class TestWeightFunctions:
         # evaluated at that node, so the weights meet the unit property exactly
         ode = LinearODE.from_strings(2, ["0", "-1156"], "0")
         basis = homogeneous_basis(ode, TimeGrid(0.0, 1.0, num_points))
-        wb = weight_functions(basis, [0.0, 0.7])
+        wb = basis_weights(basis, [0.0, 0.7])
         assert np.array_equal(wb.weight_at(0.7), [0.0, 1.0])
         assert np.array_equal(wb.weight_at(0.0), [1.0, 0.0])
 
@@ -445,9 +472,39 @@ class TestWeightFunctions:
         t = grid.nodes()
         for k in ks:
             ode = LinearODE.from_strings(2, ["0", f"-{k * k}"], "0")
-            wb = weight_functions(homogeneous_basis(ode, grid), points)
+            wb = basis_weights(homogeneous_basis(ode, grid), points)
             exact = np.column_stack([np.sinh(k * (q - t)), np.sinh(k * (t - p))])
             assert np.max(np.abs(wb.weights - exact / np.sinh(k * (q - p)))) <= 5e-5, k
+
+
+def test_singularity_verdict_matches_the_unscaled_formula_and_never_overflows():
+    # random matrices, half of them near-singular (one row a combination of
+    # the others plus a relative 10^-18 .. 10^-6 perturbation), over 500
+    # decades of scale: wherever the unscaled formula stays in the float
+    # range it gives the same verdict, and every matrix gets one
+    rng = np.random.default_rng(20261019)
+    compared = overflowed = singular = 0
+    for _ in range(4000):
+        n = int(rng.integers(1, 6))
+        mat = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+        if n > 1 and rng.random() < 0.5:
+            mat[-1] = rng.standard_normal(n - 1) @ mat[:-1]
+            mat[-1] += 10.0 ** rng.uniform(-18, -6) * np.abs(mat[-1]).max() * rng.standard_normal(n)
+        mat *= 10.0 ** rng.uniform(-250, 250)
+        length = 10.0 ** rng.uniform(-2, 2)
+        try:
+            ode_module.require_invertible(mat, length)
+            verdict = False
+        except NonUniqueCrispSolution:
+            verdict = True
+        expected = reference.singular_unscaled(mat, length)
+        if expected is None:
+            overflowed += 1
+            continue
+        assert verdict == expected, (mat, length)
+        compared += 1
+        singular += verdict
+    assert compared > 1000 and overflowed > 100 and 100 < singular < compared - 100
 
 
 @st.composite
@@ -611,7 +668,7 @@ class TestIntervalLength:
         ode = LinearODE.from_strings(2, ["0", f"(pi/{length!r})^2"], "0")
         basis = homogeneous_basis(ode, TimeGrid(0.0, length, 1001))
         with pytest.raises(NonUniqueCrispSolution, match="numerically singular"):
-            weight_functions(basis, [0.0, length])
+            basis_weights(basis, [0.0, length])
         with pytest.raises(NonUniqueCrispSolution, match="numerically singular"):
             solve_crisp_bvp(ode, [(0.0, 1.0), (length, 1.0)], TimeGrid(0.0, length, 1001))
 

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from fuzzybvp import fuzzy
+from fuzzybvp import fuzzy, solver
 from fuzzybvp.fuzzy import ParametricFuzzyNumber, TriangularFuzzyNumber
-from fuzzybvp.ode import LinearODE, TimeGrid, solve_crisp_bvp
+from fuzzybvp.ode import LinearODE, TimeGrid, Trajectory, solve_crisp_bvp
 from fuzzybvp.solver import (BLOCK_ROWS, FuzzyBVP, FuzzySolution, SolutionBand,
                              solve_fuzzy_bvp)
 
@@ -63,22 +63,17 @@ class TestAssemble:
 
     def test_zero_uncertain_parts_degenerate_to_crisp(self, solution1):
         zero = TriangularFuzzyNumber(0.0, 0.0, 0.0)
-        degenerate = FuzzySolution(solution1.crisp, solution1.weight_basis, (zero, zero),
-                                   solution1.crisp_boundary_values)
+        degenerate = FuzzySolution(solution1.grid, solution1.boundary_points, solution1.columns,
+                                   (zero, zero), solution1.crisp_boundary_values)
         for t in (0.0, 0.3, 0.72, 1.0):
             for alpha in (0.0, 0.5, 1.0):
                 cut = degenerate.value_at(t, alpha)
                 assert cut.lo == cut.hi == pytest.approx(solution1.crisp.value(t), abs=1e-14)
 
-    def test_grid_mismatch_rejected(self, solution1, solution2):
-        with pytest.raises(ValueError, match="share a grid"):
-            FuzzySolution(solution2.crisp, solution1.weight_basis,
-                          solution1.uncertain_parts, solution1.crisp_boundary_values)
-
     def test_nonzero_vertex_rejected(self, solution1):
         bad = TriangularFuzzyNumber(-0.5, 0.1, 1.0)
         with pytest.raises(ValueError, match="vertex"):
-            FuzzySolution(solution1.crisp, solution1.weight_basis,
+            FuzzySolution(solution1.grid, solution1.boundary_points, solution1.columns,
                           (bad, solution1.uncertain_parts[1]),
                           solution1.crisp_boundary_values)
 
@@ -199,8 +194,9 @@ class TestBand:
         levels = [0.0, 0.6, 1.0]
         out = TimeGrid(0.0, 2.0, num_points)
         nodes = out.nodes()
-        lower, upper = solution2._cuts(solution2.crisp.value(nodes),
-                                       solution2.weight_basis.weight_at(nodes), levels)
+        columns = np.column_stack([solution2.weight_basis.weight_at(nodes),
+                                   solution2.crisp.value(nodes)])
+        lower, upper = solution2._cuts(columns, levels)
         band = solution2.band(levels, grid=out)
         assert np.array_equal(band.lower, lower)
         assert np.array_equal(band.upper, upper)
@@ -217,12 +213,65 @@ class TestBand:
             crisp, weights = solution2.crisp.values, solution2.weight_basis.weights
         else:
             crisp, weights = solution2.crisp.value(nodes), solution2.weight_basis.weight_at(nodes)
-        lower, upper = solution2._cuts(crisp, weights, [0.0, 0.6, 1.0])
+        lower, upper = solution2._cuts(np.column_stack([weights, crisp]), [0.0, 0.6, 1.0])
         t, lo, hi = zip(*solution2.band_blocks([0.6, 0.0, 1.0, 0.6], out))
         assert [block.size for block in t[:-1]] == [BLOCK_ROWS] * (len(t) - 1)
         assert np.concatenate(t).tobytes() == nodes.tobytes()
         assert np.concatenate(lo, axis=1).tobytes() == lower.tobytes()
         assert np.concatenate(hi, axis=1).tobytes() == upper.tobytes()
+
+
+class TestOneSolutionArray:
+    """A solution is one (n+1, 2, N) array: node values, then slopes, of the
+    n weights and then of the crisp solution."""
+
+    def test_columns_hold_the_weights_then_the_crisp_solution(self, solution2):
+        columns = solution2.columns
+        assert columns.shape == (3, 2, solution2.grid.num_points)
+        assert not columns.flags.writeable
+        assert np.array_equal(columns[:2, 0].T, solution2.weight_basis.weights)
+        assert np.array_equal(columns[:2, 1].T, solution2.weight_basis.weight_slopes)
+        assert not solution2.weight_basis.weights.flags.writeable
+        assert np.array_equal(columns[2, 0], solution2.crisp.values)
+        assert np.array_equal(columns[2, 1], solution2.crisp.slopes)
+        assert solution2.crisp.states.shape == (solution2.grid.num_points, 1)
+
+    def test_one_hermite_pass_per_off_grid_block_and_per_value(self, solution2, monkeypatch):
+        # the weights and the crisp solution are interpolated together
+        calls = []
+        hermite = solver._hermite
+
+        def counting(*args):
+            calls.append(args)
+            return hermite(*args)
+
+        monkeypatch.setattr(solver, "_hermite", counting)
+        solution2.band([0.0, 0.6, 1.0], grid=TimeGrid(0.0, 2.0, 2 * BLOCK_ROWS + 3))
+        assert len(calls) == 3
+        solution2.value_at(0.7, 0.5)
+        assert len(calls) == 4
+        solution2.band([0.0, 0.6, 1.0])  # the solution grid is sliced, not interpolated
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("which", ["example2", "order4"])
+    def test_solve_builds_at_most_one_trajectory(self, example2, which, monkeypatch):
+        if which == "order4":
+            ode = LinearODE.from_strings(4, ["sin(t)", "1 + t^2", "exp(-t)", "-2*cos(3*t)"],
+                                         "t^3 - sqrt(1 + t)")
+            conds = [(p, TriangularFuzzyNumber(p - 1.0, p, p + 0.5)) for p in (0.0, 0.5, 1.5, 2.0)]
+            problem = FuzzyBVP(ode, conds, TimeGrid(0.0, 2.0, 1001))
+        else:
+            problem = example2
+        built = []
+        post_init = Trajectory.__post_init__
+
+        def counting(traj):
+            built.append(traj)
+            post_init(traj)
+
+        monkeypatch.setattr(Trajectory, "__post_init__", counting)
+        solve_fuzzy_bvp(problem)
+        assert len(built) <= 1
 
 
 def interval_arithmetic_cut(solution, t, alpha):
@@ -366,7 +415,7 @@ def zero_band(solution, lower=None, upper=None):
      "band arrays must be (num_levels, num_points)"),
     (lambda s: zero_band(s, upper=np.zeros((1, 1000))),
      "band arrays must be (num_levels, num_points)"),
-    (lambda s: FuzzySolution(s.crisp, s.weight_basis, s.uncertain_parts[:1],
+    (lambda s: FuzzySolution(s.grid, s.boundary_points, s.columns, s.uncertain_parts[:1],
                              s.crisp_boundary_values),
      "one uncertain part per weight function is required"),
     (lambda s: s.band([]), "at least one alpha level is required"),
