@@ -7,13 +7,13 @@ A linear ODE of order n,
 is integrated as a first-order companion system with classical fixed-step
 RK4, run on the block states through the companion structure (a shift plus
 one row) and carried from block to block.  One scan from the augmented
-identity gives a fundamental basis (canonical initial states) and a
-particular solution (zero initial state) together.  The crisp solution,
-the particular one plus the basis combination that meets the boundary
-values, and the basis fill one (n+1, 2, N) array of node values and slopes.
-The weight functions overwrite its basis rows: one solve of the transposed
-boundary system, by an elimination that divides by each pivot so that the
-weights meet the unit property exactly at on-grid boundary points.
+identity writes a fundamental basis (canonical initial states) and a
+particular solution (zero initial state) as node rows of one array, whose
+values and slopes (n+1, 2, N) a solve keeps.  The basis combination that
+meets the boundary values corrects the particular row into the crisp one in
+place, and the weight functions overwrite the basis rows: one solve of the
+transposed boundary system, by an elimination that divides by each pivot so
+that the weights meet the unit property exactly at on-grid boundary points.
 """
 
 from __future__ import annotations
@@ -183,10 +183,10 @@ class Trajectory:
         return _hermite(self.grid, self.values, self.slopes, t)[()]
 
 
-def _rk4_scan(ode: LinearODE, grid: TimeGrid, initial: np.ndarray):
-    """Node states (N, n, c) and value-channel slopes (N, c) of the augmented
-    system z' = C(t) z from the columns of ``initial`` (n+1, c), by RK4 run
-    straight on the block states through the companion structure.
+def _rk4_scan(ode: LinearODE, grid: TimeGrid, initial: np.ndarray) -> np.ndarray:
+    """Node rows (c, max(n, 2), N) of z' = C(t) z from the columns of
+    ``initial`` (n+1, c), by RK4 run straight on the block states through
+    the companion structure: row k of column j is its x^(k), row 1 its x'.
 
     C(t) = [[A(t), f(t) e_n], [0, 0]] is a shift plus the row
     r(t) = (-a_n, ..., -a_1, f), so C X is the rows X[1:n] plus one new row
@@ -195,11 +195,10 @@ def _rk4_scan(ode: LinearODE, grid: TimeGrid, initial: np.ndarray):
     from P = [I | 0], one in-block position at a time for all blocks at
     once; P is the first n rows of the block's state matrix, whose
     augmented row stays e_n and is never stored.  A short sequential pass
-    then carries the state from block to block, and one batched product
-    gives every node.  The coefficients and the forcing are evaluated once
-    on the half-step lattice t0 + h/2 k (t_end at its end), where all stage
-    times fall, laid out as (2 block + 1, n+1, blocks) so that each stage
-    row is a contiguous slice.
+    carries the state from block to block, and one batched product writes
+    every node.  The coefficients and the forcing are evaluated once on the
+    half-step lattice t0 + h/2 k (t_end at its end), where all stage times
+    fall, laid out as (2 block + 1, n+1, blocks): each stage row contiguous.
     """
     n, m, steps, h = ode.order, ode.order + 1, grid.num_points - 1, grid.step
     # One in-block position costs about 20 numpy calls on arrays of all
@@ -207,25 +206,24 @@ def _rk4_scan(ode: LinearODE, grid: TimeGrid, initial: np.ndarray):
     # steps balance the two (timings are flat from steps / 32 to steps / 4).
     block = max(1, math.isqrt(steps // 16))
     blocks = -(-steps // block)
-    # one row of times per block, so that an EvaluationError names the
-    # earliest offending time
-    times = np.arange(0.0, 2 * steps, 2 * block)[:, None] + np.arange(2 * block + 1.0)
+    # one column per block, evaluated through the transpose, whose order is
+    # time order, so that an EvaluationError names the earliest offending time
+    times = np.arange(2 * block + 1.0)[:, None] + np.arange(0.0, 2 * steps, 2 * block)
     times *= 0.5 * h
     times += grid.t0
     # the last block may run past the end: t_end there, and its states are dropped
-    times[-1, 2 * (steps - (blocks - 1) * block):] = grid.t_end
+    times[2 * (steps - (blocks - 1) * block):, -1] = grid.t_end
     rows = np.empty((2 * block + 1, m, blocks))
     for j, coeff in enumerate(reversed(ode.coeffs)):
-        np.negative(coeff.evaluate(times).T, out=rows[:, j])
-    rows[:, n] = ode.forcing.evaluate(times).T
+        np.negative(coeff.evaluate(times.T).T, out=rows[:, j])
+    rows[:, n] = ode.forcing.evaluate(times.T).T
     del times
     # z[:n] holds a stage argument Y and z[n] the new row of C Y, so the
     # stage slope C Y is the view z[1:]; z1[:n] is the in-block state P
     z1, z2, z3, z4 = (np.empty((m, m, blocks)) for _ in range(4))
     prod, total = z1[:n], np.empty((n, m, blocks))
     prod[:] = np.eye(n, m)[:, :, None]
-    out = np.empty((blocks * block + 1, n, m))  # in-block states, then node states
-    local = out[1:].reshape(blocks, block, n, m)
+    local = np.empty((blocks, block, n, m))  # in-block states
     for i in range(block):
         for r, z, nxt, a in ((rows[2 * i], z1, z2, 0.5 * h), (rows[2 * i + 1], z2, z3, 0.5 * h),
                              (rows[2 * i + 1], z3, z4, h), (rows[2 * i + 2], z4, None, 0.0)):
@@ -246,48 +244,43 @@ def _rk4_scan(ode: LinearODE, grid: TimeGrid, initial: np.ndarray):
     starts[:] = initial
     for b in range(1, blocks):
         starts[b, :n] = local[b - 1, -1] @ starts[b - 1]
-    # in place, a few blocks at a time, so no second array of states is made
-    for b in range(0, blocks, 16):
-        local[b:b + 16, :, :, :c] = local[b:b + 16] @ starts[b:b + 16, None]
-    out[0, :, :c] = initial[:n]
-    states = out[:steps + 1, :, :c]
-    if n >= 2:
-        return states, states[:, 1]
-    # x' = -a_1 x + z f, where the augmented component z stays constant
-    nodes = np.concatenate([rows[:-1:2].transpose(2, 0, 1).reshape(-1, m), rows[-1:, :, -1]])
-    return states, nodes[:steps + 1, :1] * states[:, 0] + nodes[:steps + 1, 1:] * initial[n]
+    if n == 1:  # -a_1 and f at the nodes
+        nodes = np.concatenate([rows[:-1:2].transpose(1, 2, 0).reshape(m, -1), rows[-1, :, -1:]], 1)
+    del rows, r  # r is a view of rows
+    out = np.empty((c, max(n, 2), blocks * block + 1))
+    # state row k of column j at node 1 + b block + i is (local[b, i] @ starts[b])[k, j]
+    np.matmul(local.transpose(0, 2, 1, 3), starts[:, None],
+              out=out[:, :n, 1:].reshape(c, n, blocks, block).transpose(2, 1, 3, 0))
+    out[:, :n, 0] = initial[:n].T
+    if n == 1:  # x' = -a_1 x + z f, where the augmented component z stays constant
+        out[:, 1] = nodes[0] * out[:, 0] + nodes[1] * initial[n][:, None]
+    return out[:, :, :steps + 1]
 
 
-def _propagate(ode: LinearODE, grid: TimeGrid, initial: np.ndarray):
-    """Integrate from each column of ``initial`` (n+1, c): state, forcing scale.
-
-    Returns node states (N, n, c) and value-channel slopes (N, c); raises
-    IntegrationError at the first node whose state is not finite.
-    """
+def _propagate(ode: LinearODE, grid: TimeGrid, initial: np.ndarray) -> np.ndarray:
+    """``_rk4_scan`` from each column of ``initial`` (n+1, c): state, forcing
+    scale; raises IntegrationError at the first node whose state is not finite."""
     # overflow is detected via the finiteness check, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        states, slopes = _rk4_scan(ode, grid, initial)
+        columns = _rk4_scan(ode, grid, initial)
+    states = columns[:, :ode.order]
     if not np.isfinite(states).all():  # one flat pass; per node only to name the node
-        finite = np.isfinite(states).all(axis=(1, 2))
+        finite = np.isfinite(states).all(axis=(0, 1))
         node = int(np.argmin(finite))
         raise IntegrationError(f"integration blew up at node {node} "
                                f"(t = {grid.t0 + node * grid.step:g})")
-    return states, slopes
+    return columns
 
 
 def integrate_ivp(ode: LinearODE, initial_state, grid: TimeGrid) -> Trajectory:
-    """Integrate the companion first-order system with classical RK4.
-
-    The RK4 steps run on the block states through the companion structure
-    (see ``_rk4_scan``).  Raises IntegrationError when a state stops being
-    finite.
-    """
+    """Integrate the companion first-order system with classical RK4 (see
+    ``_rk4_scan``); raises IntegrationError when a state stops being finite."""
     n = ode.order
     state = np.array(initial_state, dtype=float)
     if state.shape != (n,):
         raise ValueError(f"initial state must have {n} components, got shape {state.shape}")
-    states, slopes = _propagate(ode, grid, np.append(state, 1.0)[:, None])
-    return Trajectory(grid, states[:, :, 0], slopes[:, 0])
+    rows = _propagate(ode, grid, np.append(state, 1.0)[:, None])[0]
+    return Trajectory(grid, rows[:n].T, rows[1])
 
 
 def homogeneous_basis(ode: LinearODE, grid: TimeGrid) -> tuple[Trajectory, ...]:
@@ -296,8 +289,8 @@ def homogeneous_basis(ode: LinearODE, grid: TimeGrid) -> tuple[Trajectory, ...]:
     The state matrix at t0 is the identity, so the set is linearly
     independent (unit Wronskian at t0).  All n columns share one scan.
     """
-    states, slopes = _propagate(ode, grid, np.eye(ode.order + 1, ode.order))
-    return tuple(Trajectory(grid, states[:, :, i], slopes[:, i]) for i in range(ode.order))
+    columns = _propagate(ode, grid, np.eye(ode.order + 1, ode.order))
+    return tuple(Trajectory(grid, rows[:ode.order].T, rows[1]) for rows in columns)
 
 
 def boundary_matrix(basis: Sequence[Trajectory], points: Sequence[float]) -> np.ndarray:
@@ -312,7 +305,9 @@ def require_invertible(mat: np.ndarray, length: float) -> None:
     length^j / j!), so that the verdict depends on neither the length nor the
     scale of the values; raises NonUniqueCrispSolution."""
     n = mat.shape[0]
-    mat = mat * float(length) ** -np.arange(n)
+    # first a power of two (no effect on the verdict), so the scaling cannot overflow
+    mat = np.ldexp(mat, -math.frexp(float(np.abs(mat).max()))[1])
+    mat *= float(length) ** -np.arange(n)
     row_sum, exponent = math.frexp(float(np.abs(mat).sum(axis=1).max()))
     det = float(np.linalg.det(np.ldexp(mat, -exponent)))  # scaled by a power of two: exact
     scale = row_sum ** n  # the row sums scaled into [0.5, 1), so no overflow
@@ -417,30 +412,29 @@ def combine(particular: Trajectory, basis: Sequence[Trajectory],
 
 
 def _basis_and_crisp(ode: LinearODE, grid: TimeGrid, points: Sequence[float],
-                     values: np.ndarray) -> tuple[np.ndarray, Trajectory]:
-    """One scan: basis and crisp node values and slopes (n+1, 2, N), and crisp trajectory.
-
-    Columns 0..n-1 start from e_1, ..., e_n with forcing scale 0 (the
-    basis), column n from the zero state with scale 1 (a particular
-    solution), which is corrected by the basis combination that meets
+                     values: np.ndarray) -> np.ndarray:
+    """One scan's node rows (n+1, max(n, 2), N) (see ``_rk4_scan``): columns
+    0..n-1 the basis from e_1, ..., e_n, column n the particular solution from
+    the zero state, corrected in place by the basis combination that meets
     ``values`` at ``points``.  Raises NonUniqueCrispSolution for a singular
-    boundary matrix.
-    """
+    boundary matrix and ValueError for a non-finite crisp solution."""
     n = ode.order
-    states, slopes = _propagate(ode, grid, np.eye(n + 1))
-    at_points = _hermite(grid, states[:, 0], slopes, np.array(points, dtype=float))
+    columns = _propagate(ode, grid, np.eye(n + 1))
+    at_points = _hermite(grid, *columns[:, :2].transpose(1, 2, 0), np.array(points, dtype=float))
     require_invertible(at_points[:, :n], grid.t_end - grid.t0)
     coefficients = np.linalg.solve(at_points[:, :n], values - at_points[:, n])
-    # einsum, not a strided matmul; overflow is left to the Trajectory's
-    # finiteness check
+    # the bits of the einsum and matmul this replaced: the state rows sum even and
+    # odd terms apart (the einsum's two-lane dot), the slope row a node-major gemv
     with np.errstate(over="ignore", invalid="ignore"):
-        combination = np.einsum("kij,j->ki", states[:, :, :n], coefficients)
-        crisp = Trajectory(grid, states[:, :, n] + combination,
-                           slopes[:, n] + slopes[:, :n] @ coefficients)
-    columns = np.empty((n + 1, 2, grid.num_points))
-    columns[:n, 0], columns[:n, 1] = states[:, 0, :n].T, slopes[:, :n].T
-    columns[n, 0], columns[n, 1] = crisp.values, crisp.slopes
-    return columns, crisp
+        slope = columns[n, 1] + np.ascontiguousarray(columns[:n, 1].T) @ coefficients
+        lanes = [columns[j] * coefficients[j] for j in range(min(n, 2))]
+        for j in range(2, n):
+            lanes[j % 2] += columns[j] * coefficients[j]
+        columns[n] += sum(lanes[1:], lanes[0])
+        columns[n, 1] = slope
+    if not np.isfinite(columns[n]).all():
+        raise ValueError("trajectory contains non-finite entries")
+    return columns
 
 
 def solve_crisp_bvp(ode: LinearODE, boundary, grid: TimeGrid) -> Trajectory:
@@ -452,4 +446,5 @@ def solve_crisp_bvp(ode: LinearODE, boundary, grid: TimeGrid) -> Trajectory:
     the basis combination that matches the boundary values.
     """
     points, values = _validate_boundary(ode.order, boundary)
-    return _basis_and_crisp(ode, grid, points, np.array(values, dtype=float))[1]
+    crisp = _basis_and_crisp(ode, grid, points, np.array(values, dtype=float))[-1]
+    return Trajectory(grid, crisp[:ode.order].T, crisp[1])

@@ -4,8 +4,9 @@
 
 1. splits every fuzzy boundary value into its vertex plus a vertex-at-zero
    uncertain part,
-2. runs one RK4 scan that gives the homogeneous basis and a particular
-   solution together, and solves the crisp problem with the vertex values,
+2. runs one RK4 scan that writes the homogeneous basis and a particular
+   solution as rows of one array, whose particular row the vertex values
+   correct in place into the crisp solution,
 3. overwrites the basis with the weight functions at the boundary points,
 4. keeps the parts in a ``FuzzySolution``; bands are evaluated on demand.
 
@@ -14,12 +15,14 @@ of the weight-scaled alpha-cuts of the uncertain parts.  Because the map
 from boundary values to the solution value at a fixed t is linear, the
 band endpoints at each node are attained at corners of the boundary-value
 box, which is what the sign-aware min/max accumulation of ``_cuts``
-computes; ``band``, ``band_blocks`` and ``value_at`` go through it.
+computes for all levels at once; ``band``, ``band_blocks`` and ``value_at``
+go through it with a table of the levels' cuts, taken once per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -110,40 +113,41 @@ class FuzzySolution:
                 raise ValueError(f"uncertain part has vertex {u.vertex}, expected 0")
         self.columns.flags.writeable = False
 
-    @property
-    def crisp(self) -> Trajectory:  # states hold x only
+    @cached_property
+    def crisp(self) -> Trajectory:  # states hold x only; built on first access
         return Trajectory(self.grid, self.columns[-1, :1].T, self.columns[-1, 1])
 
     @property
     def weight_basis(self) -> WeightBasis:
         return WeightBasis(self.grid, self.boundary_points, *self.columns[:-1].transpose(1, 2, 0))
 
-    def _cuts(self, columns, levels) -> tuple[np.ndarray, np.ndarray]:
+    def _cut_table(self, levels) -> np.ndarray:
+        """(parts, 2, levels): each uncertain part's lower, then upper cut ends."""
+        return np.array([[[c.lo, c.hi] for c in map(part.alpha_cut, levels)]
+                         for part in self.uncertain_parts]).transpose(0, 2, 1)
+
+    @staticmethod
+    def _cuts(columns, cuts) -> tuple[np.ndarray, np.ndarray]:
         """Per-level lower and upper cut endpoints at ``columns``, whose last
-        axis holds the n weights and then the crisp value.
+        axis holds the n weights and then the crisp value, for the levels of
+        ``cuts`` (see ``_cut_table``).
 
         Each uncertain part adds the min and max of its weighted cut
-        endpoints: the interval image of the boundary-value box under the
-        linear value map.
+        endpoints at every level: the interval image of the boundary-value
+        box under the linear value map.
         """
-        lower = np.empty((len(levels),) + columns.shape[:-1])
-        upper = np.empty_like(lower)
-        for k, alpha in enumerate(levels):
-            lo, hi = lower[k, ...], upper[k, ...]
-            lo[...] = hi[...] = columns[..., -1]
-            for i, part in enumerate(self.uncertain_parts):
-                cut = part.alpha_cut(alpha)
-                a = columns[..., i] * cut.lo
-                b = columns[..., i] * cut.hi
-                lo += np.minimum(a, b)
-                hi += np.maximum(a, b)
+        lower = np.broadcast_to(columns[..., -1], (cuts.shape[-1],) + columns.shape[:-1]).copy()
+        upper = lower.copy()
+        for i, cut in enumerate(cuts):
+            a, b = np.multiply.outer(cut, columns[..., i])
+            lower += np.minimum(a, b)
+            upper += np.maximum(a, b, out=a)
         return lower, upper
 
     def value_at(self, t: float, alpha: float) -> Interval:
         """Alpha-cut of the solution value at time t."""
-        alpha = _check_alpha(alpha)
         lower, upper = self._cuts(_hermite(self.grid, *self.columns.transpose(1, 2, 0), t),
-                                  [alpha])
+                                  self._cut_table([_check_alpha(alpha)]))
         return fuzzy._checked_interval(float(lower[0]), float(upper[0]))
 
     def band(self, alphas, grid: TimeGrid | None = None) -> SolutionBand:
@@ -168,17 +172,17 @@ class FuzzySolution:
         nodes of the grid, lower and upper ``(levels, nodes)`` with the
         levels of ``alpha_levels``.
 
-        On the solution grid the blocks are slices of the node values; on
-        another grid the nodes are interpolated.  Every step is elementwise,
-        so the blocks give the bits of one whole-grid pass.
+        The cuts are taken once.  On the solution grid the blocks are slices
+        of the node values; on another grid the nodes are interpolated.  Every
+        step is elementwise, so the blocks give the bits of one whole pass.
         """
-        levels = alpha_levels(alphas)
+        cuts = self._cut_table(alpha_levels(alphas))
         values, slopes = self.columns.transpose(1, 2, 0)  # (nodes, n+1) each
         for start in range(0, grid.num_points, BLOCK_ROWS):
             t = grid.nodes(start, min(start + BLOCK_ROWS, grid.num_points))
             columns = (values[start:start + t.size] if grid == self.grid
                        else _hermite(self.grid, values, slopes, t))
-            yield (t, *self._cuts(columns, levels))
+            yield (t, *self._cuts(columns, cuts))
 
     def membership_of(self, boundary_values) -> float:
         """Possibility of the crisp trajectory with these boundary values:
@@ -196,6 +200,7 @@ def solve_fuzzy_bvp(problem: FuzzyBVP) -> FuzzySolution:
     pairs = [fuzzy.split_crisp(u) for _, u in problem.conditions]
     crisp_values = tuple(float(v) for v, _ in pairs)
     points = problem.boundary_points
-    columns = _basis_and_crisp(problem.ode, problem.grid, points, np.array(crisp_values))[0]
+    rows = _basis_and_crisp(problem.ode, problem.grid, points, np.array(crisp_values))
+    columns = np.ascontiguousarray(rows[:, :2])  # values and slopes; a copy only for n > 2
     weight_functions(problem.grid, columns[:-1], points)  # in place, over the basis rows
     return FuzzySolution(problem.grid, points, columns, tuple(u for _, u in pairs), crisp_values)

@@ -94,19 +94,44 @@ def solved_example2():
 
 def singular_unscaled(mat, length, rtol=1e-12):
     """Whether the unscaled formula calls ``mat`` singular; None where its
-    numbers leave the float range (OverflowError, an infinite determinant,
-    or a threshold below the smallest normal float)."""
+    numbers leave the float range (an overflow in the column scaling or the
+    row sums, OverflowError, an infinite determinant, or a threshold below
+    the smallest normal float)."""
     n = mat.shape[0]
-    mat = mat * float(length) ** -np.arange(n)
     with np.errstate(all="ignore"):
+        mat = mat * float(length) ** -np.arange(n)
         det = float(np.linalg.det(mat))
+        row_sum = float(np.abs(mat).sum(axis=1).max())
     try:
-        threshold = rtol * float(np.abs(mat).sum(axis=1).max()) ** n
+        threshold = rtol * row_sum ** n
     except OverflowError:
         return None
     if not math.isfinite(det) or not np.finfo(float).tiny <= threshold < math.inf:
         return None
     return abs(det) <= threshold
+
+
+# --- Per-level cut loop ---------------------------------------------------
+# ``FuzzySolution._cuts`` as it was before the cut table: one level at a
+# time, with each part's alpha-cut taken per level.  The table, broadcast
+# over the levels, must give the same bits.
+
+
+def cuts_per_level(parts, columns, levels):
+    """(lower, upper), each (levels,) + columns.shape[:-1], of the values
+    whose last axis holds the weights of ``parts`` and then the crisp value."""
+    lower = np.empty((len(levels),) + columns.shape[:-1])
+    upper = np.empty_like(lower)
+    for k, alpha in enumerate(levels):
+        lo, hi = lower[k, ...], upper[k, ...]
+        lo[...] = hi[...] = columns[..., -1]
+        for i, part in enumerate(parts):
+            cut = part.alpha_cut(alpha)
+            a = columns[..., i] * cut.lo
+            b = columns[..., i] * cut.hi
+            lo += np.minimum(a, b)
+            hi += np.maximum(a, b)
+    return lower, upper
 
 
 # --- Scalar finite-difference reference ----------------------------------

@@ -77,6 +77,12 @@ VARIABLE_ODES = {
 EDGE_POINTS = [201, 65, 9, 2, 3, 17, 1009]
 
 
+def propagate(ode, grid, initial):
+    """``_propagate``'s node rows as node states (N, n, c) and value slopes (N, c)."""
+    columns = _propagate(ode, grid, initial)
+    return columns[:, :ode.order].transpose(2, 1, 0), columns[:, 1].T
+
+
 def basis_weights(basis, points):
     """``weight_functions`` of a ``homogeneous_basis``: its node values and
     slopes stacked into the (n, 2, N) block that the weights overwrite."""
@@ -206,7 +212,7 @@ class TestFusedScan:
     def test_columns_match_plain_rk4_loops(self, order, num_points):
         ode = VARIABLE_ODES[order]
         grid = TimeGrid(0.0, 2.0, num_points)
-        states, slopes = _propagate(ode, grid, np.eye(order + 1))
+        states, slopes = propagate(ode, grid, np.eye(order + 1))
         assert states.shape == (num_points, order, order + 1)
         expected = [rk4_loop(ode.homogeneous(), np.eye(order)[i], grid) for i in range(order)]
         expected.append(rk4_loop(ode, np.zeros(order), grid))
@@ -225,8 +231,8 @@ class TestFusedScan:
     def test_basis_columns_ignore_the_forcing_bit_for_bit(self, order):
         ode = VARIABLE_ODES[order]
         grid = TimeGrid(0.0, 2.0, 201)
-        fused_states, fused_slopes = _propagate(ode, grid, np.eye(order + 1))
-        free_states, free_slopes = _propagate(ode.homogeneous(), grid, np.eye(order + 1, order))
+        fused_states, fused_slopes = propagate(ode, grid, np.eye(order + 1))
+        free_states, free_slopes = propagate(ode.homogeneous(), grid, np.eye(order + 1, order))
         assert np.array_equal(fused_states[:, :, :order], free_states)
         assert np.array_equal(fused_slopes[:, :order], free_slopes)
 
@@ -270,7 +276,7 @@ class TestFusedScan:
         # over 1e5 steps adds some 3e-13.
         grid = TimeGrid(0.0, 1.0, num_points)
         initial = np.array([[1.0, 1.0], [1.0, 2.0], [0.0, 0.0]])
-        states, _ = _propagate(EX1_ODE.homogeneous(), grid, initial)
+        states, _ = propagate(EX1_ODE.homogeneous(), grid, initial)
         t = grid.nodes()
         tol = 0.5 * grid.step ** 4 + 1e-12
         for col, lam in enumerate((1.0, 2.0)):
@@ -284,11 +290,41 @@ class TestFusedScan:
         grid = TimeGrid(0.0, 1.0, 100001)
         tracemalloc.start()
         try:
-            states, _ = _propagate(EX1_ODE, grid, np.eye(3))
+            states, _ = propagate(EX1_ODE, grid, np.eye(3))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 3.5 * states.nbytes
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_crisp_row_is_the_particular_plus_the_basis_combination(self, order):
+        # corrected in place on the node rows: for orders 1 and 2 the bits of
+        # the einsum over the states laid out by node, within 2 ulp of the
+        # largest state above; the slope row is the same matmul in every order
+        ode = VARIABLE_ODES.get(order) or LinearODE.from_strings(
+            3, ["sin(t)", "1 + t^2", "exp(-t)"], "t^3 - sqrt(1 + t)")
+        grid = TimeGrid(0.0, 2.0, 1001)
+        points = np.linspace(0.0, 2.0, order) if order > 1 else np.array([0.7])
+        values = np.arange(1.0, order + 1.0)
+        states, slopes = (np.ascontiguousarray(a) for a in propagate(ode, grid, np.eye(order + 1)))
+        if order > 1:
+            slopes = states[:, 1]
+        at_points = ode_module._hermite(grid, states[:, 0], slopes, points)
+        coefficients = np.linalg.solve(at_points[:, :order], values - at_points[:, order])
+        expected = states[:, :, order] + np.einsum("kij,j->ki", states[:, :, :order], coefficients)
+        expected_slope = slopes[:, order] + slopes[:, :order] @ coefficients
+        crisp = ode_module._basis_and_crisp(ode, grid, points, values)[order]
+        assert np.array_equal(crisp[1], expected_slope)
+        rows = [0, *range(2, order)]  # the state rows but x', which is the slope row
+        got, expected = crisp[rows].T, expected[:, rows]
+        if order <= 2:
+            assert np.array_equal(got, expected)
+        else:
+            scale = np.abs(expected).max()
+            assert np.abs(got - expected).max() <= 2 * np.finfo(float).eps * scale
+        trajectory = solve_crisp_bvp(ode, list(zip(points, values)), grid)
+        assert np.array_equal(trajectory.states, crisp[:order].T)
+        assert np.array_equal(trajectory.slopes, crisp[1])
 
     def test_one_scan_per_solve(self, monkeypatch):
         calls = []
@@ -479,9 +515,10 @@ class TestWeightFunctions:
 
 def test_singularity_verdict_matches_the_unscaled_formula_and_never_overflows():
     # random matrices, half of them near-singular (one row a combination of
-    # the others plus a relative 10^-18 .. 10^-6 perturbation), over 500
-    # decades of scale: wherever the unscaled formula stays in the float
-    # range it gives the same verdict, and every matrix gets one
+    # the others plus a relative 10^-18 .. 10^-6 perturbation), over 600
+    # decades of scale and interval lengths from 1e-3 to 1e3: wherever the
+    # unscaled formula stays in the float range it gives the same verdict,
+    # and every matrix gets one, with no overflow warning
     rng = np.random.default_rng(20261019)
     compared = overflowed = singular = 0
     for _ in range(4000):
@@ -490,8 +527,8 @@ def test_singularity_verdict_matches_the_unscaled_formula_and_never_overflows():
         if n > 1 and rng.random() < 0.5:
             mat[-1] = rng.standard_normal(n - 1) @ mat[:-1]
             mat[-1] += 10.0 ** rng.uniform(-18, -6) * np.abs(mat[-1]).max() * rng.standard_normal(n)
-        mat *= 10.0 ** rng.uniform(-250, 250)
-        length = 10.0 ** rng.uniform(-2, 2)
+        mat *= 10.0 ** rng.uniform(-300, 300)
+        length = 10.0 ** rng.uniform(-3, 3)
         try:
             ode_module.require_invertible(mat, length)
             verdict = False

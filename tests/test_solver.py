@@ -196,7 +196,7 @@ class TestBand:
         nodes = out.nodes()
         columns = np.column_stack([solution2.weight_basis.weight_at(nodes),
                                    solution2.crisp.value(nodes)])
-        lower, upper = solution2._cuts(columns, levels)
+        lower, upper = solution2._cuts(columns, solution2._cut_table(levels))
         band = solution2.band(levels, grid=out)
         assert np.array_equal(band.lower, lower)
         assert np.array_equal(band.upper, upper)
@@ -213,7 +213,8 @@ class TestBand:
             crisp, weights = solution2.crisp.values, solution2.weight_basis.weights
         else:
             crisp, weights = solution2.crisp.value(nodes), solution2.weight_basis.weight_at(nodes)
-        lower, upper = solution2._cuts(np.column_stack([weights, crisp]), [0.0, 0.6, 1.0])
+        lower, upper = solution2._cuts(np.column_stack([weights, crisp]),
+                                       solution2._cut_table([0.0, 0.6, 1.0]))
         t, lo, hi = zip(*solution2.band_blocks([0.6, 0.0, 1.0, 0.6], out))
         assert [block.size for block in t[:-1]] == [BLOCK_ROWS] * (len(t) - 1)
         assert np.concatenate(t).tobytes() == nodes.tobytes()
@@ -272,6 +273,80 @@ class TestOneSolutionArray:
         monkeypatch.setattr(Trajectory, "__post_init__", counting)
         solve_fuzzy_bvp(problem)
         assert len(built) <= 1
+
+    def test_crisp_is_built_once(self, example2, monkeypatch):
+        built = []
+        post_init = Trajectory.__post_init__
+
+        def counting(traj):
+            built.append(traj)
+            post_init(traj)
+
+        monkeypatch.setattr(Trajectory, "__post_init__", counting)
+        solution = solve_fuzzy_bvp(example2)
+        assert built == []
+        crisp = solution.crisp
+        assert solution.crisp is crisp
+        assert len(built) == 1
+
+
+class TestCutTable:
+    """``band``, ``band_blocks`` and ``value_at`` take each level's cuts once,
+    into one table, and add each part at all levels at once: the bits of the
+    per-level loop, for triangular and parametric parts, unsorted and
+    repeated levels, on and off the solution grid."""
+
+    LEVELS = [0.9, 0.0, 0.35, 0.9, 1.0, 0.35, 0.6]
+
+    @pytest.fixture(scope="class")
+    def mixed(self):
+        ode = LinearODE.from_strings(2, ["0", "16"], "47 - 8*t^2")
+        parametric = ParametricFuzzyNumber([0.0, 0.3, 1.0], [0.2, 0.7, 1.0], [1.9, 1.3, 1.0])
+        conds = ((0.0, TriangularFuzzyNumber(2.0, 3.0, 3.5)), (2.0, parametric))
+        return solve_fuzzy_bvp(FuzzyBVP(ode, conds, TimeGrid(0.0, 2.0, 1001)))
+
+    @pytest.mark.parametrize("num_points", [None, 997, 2 * BLOCK_ROWS + 3],
+                             ids=["solution grid", "off grid", "off grid, 3 blocks"])
+    def test_band_and_blocks_equal_the_per_level_loop(self, mixed, num_points):
+        out = mixed.grid if num_points is None else TimeGrid(0.0, 2.0, num_points)
+        levels = solver.alpha_levels(self.LEVELS)
+        values, slopes = mixed.columns.transpose(1, 2, 0)
+        columns = values if num_points is None else solver._hermite(mixed.grid, values, slopes,
+                                                                     out.nodes())
+        lower, upper = reference.cuts_per_level(mixed.uncertain_parts, columns, levels)
+        band = mixed.band(self.LEVELS, grid=out)
+        assert band.alphas == levels == (0.0, 0.35, 0.6, 0.9, 1.0)
+        assert band.lower.tobytes() == lower.tobytes()
+        assert band.upper.tobytes() == upper.tobytes()
+        _, lo, hi = zip(*mixed.band_blocks(self.LEVELS, out))
+        assert np.concatenate(lo, axis=1).tobytes() == lower.tobytes()
+        assert np.concatenate(hi, axis=1).tobytes() == upper.tobytes()
+
+    @pytest.mark.parametrize("t", [0.0, 0.7, 1.2345, 2.0])
+    def test_value_at_equals_the_per_level_loop(self, mixed, t):
+        column = solver._hermite(mixed.grid, *mixed.columns.transpose(1, 2, 0), t)
+        lower, upper = reference.cuts_per_level(mixed.uncertain_parts, column, self.LEVELS)
+        for k, alpha in enumerate(self.LEVELS):
+            cut = mixed.value_at(t, alpha)
+            assert (cut.lo, cut.hi) == (lower[k], upper[k])
+
+    def test_cut_table_holds_lower_then_upper_endpoints(self, mixed):
+        table = mixed._cut_table([0.35, 1.0])
+        assert table.shape == (2, 2, 2)
+        for part, rows in zip(mixed.uncertain_parts, table):
+            cuts = [part.alpha_cut(0.35), part.alpha_cut(1.0)]
+            assert rows.tolist() == [[c.lo for c in cuts], [c.hi for c in cuts]]
+
+    def test_each_part_is_cut_once_per_level_per_band(self, mixed, monkeypatch):
+        calls = []
+        for cls in (TriangularFuzzyNumber, ParametricFuzzyNumber):
+            def counting(part, alpha, cut=cls.alpha_cut):
+                calls.append(alpha)
+                return cut(part, alpha)
+
+            monkeypatch.setattr(cls, "alpha_cut", counting)
+        mixed.band([0.0, 0.5, 1.0], grid=TimeGrid(0.0, 2.0, 2 * BLOCK_ROWS + 3))
+        assert len(calls) == 2 * 3
 
 
 def interval_arithmetic_cut(solution, t, alpha):
