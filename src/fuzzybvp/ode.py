@@ -423,8 +423,8 @@ def _basis_and_crisp(ode: LinearODE, grid: TimeGrid, points: Sequence[float],
     at_points = _hermite(grid, *columns[:, :2].transpose(1, 2, 0), np.array(points, dtype=float))
     require_invertible(at_points[:, :n], grid.t_end - grid.t0)
     coefficients = np.linalg.solve(at_points[:, :n], values - at_points[:, n])
-    # the bits of the einsum and matmul this replaced: the state rows sum even and
-    # odd terms apart (the einsum's two-lane dot), the slope row a node-major gemv
+    # rounded as numpy's einsum and matmul round it, so that outputs keep their bits:
+    # even and odd terms summed apart (its two-lane dot), the slope a node-major gemv
     with np.errstate(over="ignore", invalid="ignore"):
         slope = columns[n, 1] + np.ascontiguousarray(columns[:n, 1].T) @ coefficients
         lanes = [columns[j] * coefficients[j] for j in range(min(n, 2))]

@@ -298,9 +298,9 @@ class TestFusedScan:
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
     def test_crisp_row_is_the_particular_plus_the_basis_combination(self, order):
-        # corrected in place on the node rows: for orders 1 and 2 the bits of
-        # the einsum over the states laid out by node, within 2 ulp of the
-        # largest state above; the slope row is the same matmul in every order
+        # corrected in place on the node rows: the bits of the einsum over
+        # node-major states for orders 1 and 2, within 2 eps times the largest
+        # state for orders 3-5; the slope row is the same matmul in every order
         ode = VARIABLE_ODES.get(order) or LinearODE.from_strings(
             3, ["sin(t)", "1 + t^2", "exp(-t)"], "t^3 - sqrt(1 + t)")
         grid = TimeGrid(0.0, 2.0, 1001)
