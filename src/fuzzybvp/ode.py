@@ -6,14 +6,15 @@ A linear ODE of order n,
 
 is integrated as a first-order companion system with classical fixed-step
 RK4, run on the block states through the companion structure (a shift plus
-one row) and carried from block to block.  One scan from the augmented
-identity writes a fundamental basis (canonical initial states) and a
-particular solution (zero initial state) as node rows of one array, whose
-values and slopes (n+1, 2, N) a solve keeps.  The basis combination that
-meets the boundary values corrects the particular row into the crisp one in
-place, and the weight functions overwrite the basis rows: one solve of the
-transposed boundary system, by an elimination that divides by each pivot so
-that the weights meet the unit property exactly at on-grid boundary points.
+one row) and carried across the blocks by a log-depth prefix product of
+their maps.  One scan from the augmented identity writes a fundamental
+basis (canonical initial states) and a particular solution (zero initial
+state) as node rows of one array, whose values and slopes (n+1, 2, N) a
+solve keeps.  The basis combination that meets the boundary values corrects
+the particular row into the crisp one in place, and the weight functions
+overwrite the basis rows: one solve of the transposed boundary system, by an
+elimination that divides by each pivot so that the weights meet the unit
+property exactly at on-grid boundary points.
 """
 
 from __future__ import annotations
@@ -193,17 +194,19 @@ def _rk4_scan(ode: LinearODE, grid: TimeGrid, initial: np.ndarray) -> np.ndarray
     sum_j r_j X[j], with r_n added to the forcing column: no matmul.  The
     steps are cut into blocks.  Every block takes RK4 steps of P' = C(t) P
     from P = [I | 0], one in-block position at a time for all blocks at
-    once; P is the first n rows of the block's state matrix, whose
-    augmented row stays e_n and is never stored.  A short sequential pass
-    carries the state from block to block, and one batched product writes
-    every node.  The coefficients and the forcing are evaluated once on the
-    half-step lattice t0 + h/2 k (t_end at its end), where all stage times
-    fall, laid out as (2 block + 1, n+1, blocks): each stage row contiguous.
+    once; P is the first n rows of the block's state matrix, whose augmented
+    row stays e_n and is never stored.  Block b starts from the product of
+    the maps of blocks 0..b-1, all taken by recursive doubling in
+    ceil(log2 blocks) batched products (Hillis and Steele, CACM 29, 1986),
+    and one batched product writes every node.  The coefficients and the
+    forcing are evaluated once on the half-step lattice t0 + h/2 k (t_end at
+    its end), where all stage times fall, laid out as (2 block + 1, n+1,
+    blocks): each stage row contiguous.
     """
     n, m, steps, h = ode.order, ode.order + 1, grid.num_points - 1, grid.step
-    # One in-block position costs about 20 numpy calls on arrays of all
-    # blocks and one carry one small matmul; blocks of sqrt(steps / 16)
-    # steps balance the two (timings are flat from steps / 32 to steps / 4).
+    # An in-block position costs about 20 numpy calls on arrays of all blocks,
+    # a block one small matmul in each of the carry's log2(blocks) products;
+    # blocks of sqrt(steps / 16) steps balance the two (within 10% from /32 to /8).
     block = max(1, math.isqrt(steps // 16))
     blocks = -(-steps // block)
     # one column per block, evaluated through the transpose, whose order is
@@ -239,11 +242,13 @@ def _rk4_scan(ode: LinearODE, grid: TimeGrid, initial: np.ndarray) -> np.ndarray
         total *= h / 6.0
         prod += total
         local[:, i] = prod.transpose(2, 0, 1)
-    c = initial.shape[1]
-    starts = np.empty((blocks, m, c))
-    starts[:] = initial
-    for b in range(1, blocks):
-        starts[b, :n] = local[b - 1, -1] @ starts[b - 1]
+    # maps[b] becomes the product of the maps of blocks b-1, ..., 0 (maps[0] = I),
+    # whose augmented row e_n keeps a column without forcing free of it
+    maps = np.zeros((blocks, m, m))
+    maps[0], maps[1:, :n], maps[:, n, n] = np.eye(m), local[:-1, -1], 1.0
+    for s in (1 << k for k in range((blocks - 1).bit_length())):  # 1, 2, 4, ... < blocks
+        maps[s:] = maps[s:] @ maps[:-s]
+    c, starts = initial.shape[1], maps @ initial
     if n == 1:  # -a_1 and f at the nodes
         nodes = np.concatenate([rows[:-1:2].transpose(1, 2, 0).reshape(m, -1), rows[-1, :, -1:]], 1)
     del rows, r  # r is a view of rows
@@ -305,9 +310,12 @@ def require_invertible(mat: np.ndarray, length: float) -> None:
     length^j / j!), so that the verdict depends on neither the length nor the
     scale of the values; raises NonUniqueCrispSolution."""
     n = mat.shape[0]
-    # first a power of two (no effect on the verdict), so the scaling cannot overflow
-    mat = np.ldexp(mat, -math.frexp(float(np.abs(mat).max()))[1])
-    mat *= float(length) ** -np.arange(n)
+    # length^-j is mantissa^-j (at most 2^j) times 2^powers[j]; one more power
+    # of two (no effect on the verdict) brings the largest entry below 1 first
+    mantissa, exponent = math.frexp(float(length))
+    powers = -exponent * np.arange(n)
+    top = np.frexp(np.abs(mat).max(axis=0))[1] + powers
+    mat = np.ldexp(mat, powers - top.max()) * mantissa ** -np.arange(n)
     row_sum, exponent = math.frexp(float(np.abs(mat).sum(axis=1).max()))
     det = float(np.linalg.det(np.ldexp(mat, -exponent)))  # scaled by a power of two: exact
     scale = row_sum ** n  # the row sums scaled into [0.5, 1), so no overflow
@@ -361,21 +369,23 @@ def _solve_dividing(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def weight_functions(grid: TimeGrid, basis: np.ndarray,
-                     boundary_points: Sequence[float]) -> WeightBasis:
+def weight_functions(grid: TimeGrid, basis: np.ndarray, boundary_points: Sequence[float],
+                     matrix: np.ndarray | None = None) -> WeightBasis:
     """Weight functions: the basis times the inverse boundary matrix, as one
     dividing solve of the transposed boundary system whose right-hand sides
     are the rows of ``basis`` (n, 2, N), basis solution i's node values and
-    slopes, which the weights overwrite and then view, read-only.
+    slopes, which the weights overwrite and then view, read-only.  The boundary
+    ``matrix``, if given, has passed ``require_invertible``.
 
     Raises NonUniqueCrispSolution for a singular boundary matrix and
     UnitPropertyError when rounding leaves the weights off the unit
     property at a boundary point by more than KRONECKER_TOL.
     """
     points = tuple(float(p) for p in boundary_points)
-    mat = _hermite(grid, *basis.transpose(1, 2, 0), np.array(points))
-    require_invertible(mat, grid.t_end - grid.t0)
-    _solve_dividing(mat.T, basis)
+    if matrix is None:
+        matrix = _hermite(grid, *basis.transpose(1, 2, 0), np.array(points))
+        require_invertible(matrix, grid.t_end - grid.t0)
+    _solve_dividing(matrix.T, basis)
     basis.flags.writeable = False
     wb = WeightBasis(grid, points, *basis.transpose(1, 2, 0))
     miss = np.abs(wb.weight_at(np.array(points)) - np.eye(len(points))).max(axis=1)
@@ -412,12 +422,12 @@ def combine(particular: Trajectory, basis: Sequence[Trajectory],
 
 
 def _basis_and_crisp(ode: LinearODE, grid: TimeGrid, points: Sequence[float],
-                     values: np.ndarray) -> np.ndarray:
+                     values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One scan's node rows (n+1, max(n, 2), N) (see ``_rk4_scan``): columns
     0..n-1 the basis from e_1, ..., e_n, column n the particular solution from
     the zero state, corrected in place by the basis combination that meets
-    ``values`` at ``points``.  Raises NonUniqueCrispSolution for a singular
-    boundary matrix and ValueError for a non-finite crisp solution."""
+    ``values`` at ``points``; and the checked boundary matrix.  Raises
+    NonUniqueCrispSolution if it is singular, ValueError for a non-finite crisp solution."""
     n = ode.order
     columns = _propagate(ode, grid, np.eye(n + 1))
     at_points = _hermite(grid, *columns[:, :2].transpose(1, 2, 0), np.array(points, dtype=float))
@@ -434,7 +444,7 @@ def _basis_and_crisp(ode: LinearODE, grid: TimeGrid, points: Sequence[float],
         columns[n, 1] = slope
     if not np.isfinite(columns[n]).all():
         raise ValueError("trajectory contains non-finite entries")
-    return columns
+    return columns, at_points[:, :n]
 
 
 def solve_crisp_bvp(ode: LinearODE, boundary, grid: TimeGrid) -> Trajectory:
@@ -446,5 +456,5 @@ def solve_crisp_bvp(ode: LinearODE, boundary, grid: TimeGrid) -> Trajectory:
     the basis combination that matches the boundary values.
     """
     points, values = _validate_boundary(ode.order, boundary)
-    crisp = _basis_and_crisp(ode, grid, points, np.array(values, dtype=float))[-1]
+    crisp = _basis_and_crisp(ode, grid, points, np.array(values, dtype=float))[0][-1]
     return Trajectory(grid, crisp[:ode.order].T, crisp[1])

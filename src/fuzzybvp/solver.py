@@ -200,7 +200,7 @@ def solve_fuzzy_bvp(problem: FuzzyBVP) -> FuzzySolution:
     pairs = [fuzzy.split_crisp(u) for _, u in problem.conditions]
     crisp_values = tuple(float(v) for v, _ in pairs)
     points = problem.boundary_points
-    rows = _basis_and_crisp(problem.ode, problem.grid, points, np.array(crisp_values))
+    rows, matrix = _basis_and_crisp(problem.ode, problem.grid, points, np.array(crisp_values))
     columns = np.ascontiguousarray(rows[:, :2])  # values and slopes; a copy only for n > 2
-    weight_functions(problem.grid, columns[:-1], points)  # in place, over the basis rows
+    weight_functions(problem.grid, columns[:-1], points, matrix)  # in place, over the basis rows
     return FuzzySolution(problem.grid, points, columns, tuple(u for _, u in pairs), crisp_values)

@@ -111,6 +111,71 @@ def singular_unscaled(mat, length, rtol=1e-12):
     return abs(det) <= threshold
 
 
+# --- Sequential block carry ----------------------------------------------
+# ``ode._rk4_scan`` as it was before the log-depth carry: block b starts from
+# block b-1's end map times block b-1's start, one small product per block.
+# The prefix product only reassociates these products, so the node rows
+# agree to rounding.
+
+
+def rk4_scan_sequential(ode, grid, initial):
+    """``ode._rk4_scan``'s node rows (c, max(n, 2), N) from the columns of
+    ``initial`` (n+1, c), with the same blocks and in-block steps, and the
+    block-to-block carry one block map after another."""
+    n, m, steps, h = ode.order, ode.order + 1, grid.num_points - 1, grid.step
+    block = max(1, math.isqrt(steps // 16))
+    blocks = -(-steps // block)
+    # one column per block, evaluated through the transpose, whose order is
+    # time order, so that an EvaluationError names the earliest offending time
+    times = np.arange(2 * block + 1.0)[:, None] + np.arange(0.0, 2 * steps, 2 * block)
+    times *= 0.5 * h
+    times += grid.t0
+    # the last block may run past the end: t_end there, and its states are dropped
+    times[2 * (steps - (blocks - 1) * block):, -1] = grid.t_end
+    rows = np.empty((2 * block + 1, m, blocks))
+    for j, coeff in enumerate(reversed(ode.coeffs)):
+        np.negative(coeff.evaluate(times.T).T, out=rows[:, j])
+    rows[:, n] = ode.forcing.evaluate(times.T).T
+    del times
+    # z[:n] holds a stage argument Y and z[n] the new row of C Y, so the
+    # stage slope C Y is the view z[1:]; z1[:n] is the in-block state P
+    z1, z2, z3, z4 = (np.empty((m, m, blocks)) for _ in range(4))
+    prod, total = z1[:n], np.empty((n, m, blocks))
+    prod[:] = np.eye(n, m)[:, :, None]
+    local = np.empty((blocks, block, n, m))  # in-block states
+    for i in range(block):
+        for r, z, nxt, a in ((rows[2 * i], z1, z2, 0.5 * h), (rows[2 * i + 1], z2, z3, 0.5 * h),
+                             (rows[2 * i + 1], z3, z4, h), (rows[2 * i + 2], z4, None, 0.0)):
+            np.einsum("jb,jkb->kb", r[:n], z[:n], out=z[n])
+            z[n, n] += r[n]
+            if nxt is not None:
+                np.multiply(z[1:], a, out=nxt[:n])
+                nxt[:n] += prod
+        np.add(z2[1:], z3[1:], out=total)
+        total *= 2.0
+        total += z1[1:]
+        total += z4[1:]
+        total *= h / 6.0
+        prod += total
+        local[:, i] = prod.transpose(2, 0, 1)
+    c = initial.shape[1]
+    starts = np.empty((blocks, m, c))
+    starts[:] = initial
+    for b in range(1, blocks):
+        starts[b, :n] = local[b - 1, -1] @ starts[b - 1]
+    if n == 1:  # -a_1 and f at the nodes
+        nodes = np.concatenate([rows[:-1:2].transpose(1, 2, 0).reshape(m, -1), rows[-1, :, -1:]], 1)
+    del rows, r  # r is a view of rows
+    out = np.empty((c, max(n, 2), blocks * block + 1))
+    # state row k of column j at node 1 + b block + i is (local[b, i] @ starts[b])[k, j]
+    np.matmul(local.transpose(0, 2, 1, 3), starts[:, None],
+              out=out[:, :n, 1:].reshape(c, n, blocks, block).transpose(2, 1, 3, 0))
+    out[:, :n, 0] = initial[:n].T
+    if n == 1:  # x' = -a_1 x + z f, where the augmented component z stays constant
+        out[:, 1] = nodes[0] * out[:, 0] + nodes[1] * initial[n][:, None]
+    return out[:, :, :steps + 1]
+
+
 # --- Per-level cut loop ---------------------------------------------------
 # ``FuzzySolution._cuts`` as it was before the cut table: one level at a
 # time, with each part's alpha-cut taken per level.  The table, broadcast

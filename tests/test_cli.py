@@ -254,6 +254,27 @@ class TestSolveCommand:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
 
+    def test_order_5_on_a_short_interval_exits_1_with_one_line(self, tmp_path, capsys):
+        # x^(5) + x = 0 on [0, 1e-80] at 0, L/4, L/2, 3L/4 and L: length^-4
+        # passes the float range, and the singularity test's column scaling
+        # overflowed into a NaN verdict, three numpy warnings and exit 1.  The
+        # basis column x^(4)/24 ~ 4e-322 is subnormal, and the quartic through
+        # these vertices needs a coefficient ~1e320: one line, exit 1, no warning
+        length = 1e-80
+        doc = {"equation": {"order": 5, "coeffs": ["0", "0", "0", "0", "1"], "forcing": "0"},
+               "interval": {"t0": 0, "T": length},
+               "conditions": [{"t": f * length, "value": {"type": "triangular", "l": m - 0.5,
+                                                          "m": m, "r": m + 0.5}}
+                              for f, m in ((0, 0), (0.25, 0), (0.5, 0), (0.75, 0), (1, 1))]}
+        path, out = tmp_path / "short.json", tmp_path / "band.csv"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["solve", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: trajectory contains non-finite entries\n"
+        assert not out.exists()
+
     def test_validation_error_exits_1(self, tmp_path, capsys):
         doc = example_problem_document(1)
         doc["equation"]["forcing"] = "4*t -"

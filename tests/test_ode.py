@@ -77,6 +77,15 @@ VARIABLE_ODES = {
 EDGE_POINTS = [201, 65, 9, 2, 3, 17, 1009]
 
 
+ORDER3_ODE = LinearODE.from_strings(3, ["sin(t)", "1 + t^2", "exp(-t)"], "t^3 - sqrt(1 + t)")
+
+# grids whose scans carry across 0, 1, 2, 3, 4, 7 and 8 block edges (blocks
+# of one step), 31, 32 and 33 (blocks of two steps) and 142 (blocks of seven):
+# block counts at and around powers of two, where the recursive doubling
+# takes one more product
+CARRY_POINTS = [2, 3, 4, 5, 6, 9, 10, 65, 67, 69, 1001]
+
+
 def propagate(ode, grid, initial):
     """``_propagate``'s node rows as node states (N, n, c) and value slopes (N, c)."""
     columns = _propagate(ode, grid, initial)
@@ -301,8 +310,7 @@ class TestFusedScan:
         # corrected in place on the node rows: the bits of the einsum over
         # node-major states for orders 1 and 2, within 2 eps times the largest
         # state for orders 3-5; the slope row is the same matmul in every order
-        ode = VARIABLE_ODES.get(order) or LinearODE.from_strings(
-            3, ["sin(t)", "1 + t^2", "exp(-t)"], "t^3 - sqrt(1 + t)")
+        ode = VARIABLE_ODES.get(order) or ORDER3_ODE
         grid = TimeGrid(0.0, 2.0, 1001)
         points = np.linspace(0.0, 2.0, order) if order > 1 else np.array([0.7])
         values = np.arange(1.0, order + 1.0)
@@ -313,7 +321,7 @@ class TestFusedScan:
         coefficients = np.linalg.solve(at_points[:, :order], values - at_points[:, order])
         expected = states[:, :, order] + np.einsum("kij,j->ki", states[:, :, :order], coefficients)
         expected_slope = slopes[:, order] + slopes[:, :order] @ coefficients
-        crisp = ode_module._basis_and_crisp(ode, grid, points, values)[order]
+        crisp = ode_module._basis_and_crisp(ode, grid, points, values)[0][order]
         assert np.array_equal(crisp[1], expected_slope)
         rows = [0, *range(2, order)]  # the state rows but x', which is the slope row
         got, expected = crisp[rows].T, expected[:, rows]
@@ -342,6 +350,52 @@ class TestFusedScan:
         assert len(calls) == 1
         solve_crisp_bvp(EX1_ODE, [(0.0, 2.0), (1.0, 3.0)], grid)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("num_points", CARRY_POINTS)
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_log_depth_carry_matches_the_sequential_carry(self, order, num_points):
+        # the prefix product of the block maps reassociates the sequential
+        # carry's products: every node row agrees to a few eps times the
+        # column's largest entry (16 eps at most, order 4 on 1 001 nodes)
+        ode = VARIABLE_ODES.get(order) or ORDER3_ODE
+        grid = TimeGrid(0.0, 2.0, num_points)
+        initial = np.eye(order + 1)
+        rows = ode_module._rk4_scan(ode, grid, initial)
+        expected = reference.rk4_scan_sequential(ode, grid, initial)
+        assert rows.shape == expected.shape == (order + 1, max(order, 2), num_points)
+        scale = np.abs(expected).max(axis=(1, 2), keepdims=True)
+        assert (np.abs(rows - expected) <= 32 * np.finfo(float).eps * scale).all()
+
+    def test_one_boundary_matrix_per_solve(self, monkeypatch):
+        # the boundary rows of the basis and the particular column, then the
+        # unit-property check on the weights: the weight solve reuses the
+        # matrix that the crisp solve checked
+        hermite, check = ode_module._hermite, ode_module.require_invertible
+        columns, checks = [], []
+
+        def counting_hermite(grid, values, slopes, t):
+            columns.append(values.shape[-1])
+            return hermite(grid, values, slopes, t)
+
+        def counting_check(mat, length):
+            checks.append(mat.copy())
+            return check(mat, length)
+
+        monkeypatch.setattr(ode_module, "_hermite", counting_hermite)
+        monkeypatch.setattr(ode_module, "require_invertible", counting_check)
+        points = (0.0, 0.5, 1.5, 2.0)
+        conds = tuple((p, TriangularFuzzyNumber(i - 0.5, i, i + 0.5)) for i, p in enumerate(points))
+        grid = TimeGrid(0.0, 2.0, 1001)
+        solution = solve_fuzzy_bvp(FuzzyBVP(VARIABLE_ODES[4], conds, grid))
+        assert columns == [5, 4] and len(checks) == 1
+        basis = homogeneous_basis(VARIABLE_ODES[4], grid)
+        assert np.array_equal(checks[0], boundary_matrix(basis, points))
+        # a direct call evaluates and checks the matrix itself, to the same weights
+        columns.clear()
+        separate = basis_weights(basis, points)
+        assert columns == [4, 4] and len(checks) == 2
+        assert np.array_equal(checks[1], checks[0])
+        assert np.array_equal(separate.weights, solution.weight_basis.weights)
 
 
 class TestHomogeneousBasis:
@@ -512,6 +566,30 @@ class TestWeightFunctions:
             exact = np.column_stack([np.sinh(k * (q - t)), np.sinh(k * (t - p))])
             assert np.max(np.abs(wb.weights - exact / np.sinh(k * (q - p)))) <= 5e-5, k
 
+    @pytest.mark.parametrize("num_points", [1001, 2001, 4001])
+    @pytest.mark.parametrize("q, tol", [(1.0, 5e-6), (0.7003, 1e-7)],
+                             ids=["points 0 and 1", "points 0 and 0.7003"])
+    def test_stiff_fuzzy_solves_match_sinh_closed_forms(self, q, tol, num_points):
+        # x'' = k^2 x for k = 10..23, the whole solve: weights
+        # sinh(k (q - t)) / sinh(k q) and sinh(k t) / sinh(k q), and the crisp
+        # solution with vertices 1 and 2, relative to their largest values.
+        # Rounding in the boundary system dominates near k = 23.  The worst
+        # errors read 9.7e-7 (crisp) and 1.9e-6 (weights) for points 0 and 1,
+        # 1.5e-8 for both with 0 and 0.7003; with the sequential carry they
+        # read 8.6e-7, 1.9e-6 and 1.6e-8, 1.5e-8
+        grid = TimeGrid(0.0, 1.0, num_points)
+        t = grid.nodes()
+        conds = ((0.0, TriangularFuzzyNumber(0.5, 1.0, 1.5)),
+                 (q, TriangularFuzzyNumber(1.5, 2.0, 2.5)))
+        for k in range(10, 24):
+            ode = LinearODE.from_strings(2, ["0", f"-{k * k}"], "0")
+            solution = solve_fuzzy_bvp(FuzzyBVP(ode, conds, grid))
+            weights = np.column_stack([np.sinh(k * (q - t)), np.sinh(k * t)]) / np.sinh(k * q)
+            crisp = weights @ [1.0, 2.0]
+            got = solution.weight_basis.weights
+            assert np.abs(got - weights).max() <= tol * np.abs(weights).max(), k
+            assert np.abs(solution.crisp.values - crisp).max() <= tol * np.abs(crisp).max(), k
+
 
 def test_singularity_verdict_matches_the_unscaled_formula_and_never_overflows():
     # random matrices, half of them near-singular (one row a combination of
@@ -542,6 +620,38 @@ def test_singularity_verdict_matches_the_unscaled_formula_and_never_overflows():
         compared += 1
         singular += verdict
     assert compared > 1000 and overflowed > 100 and 100 < singular < compared - 100
+
+
+def test_singularity_verdict_scales_out_any_length_without_overflow():
+    # a basis column j over a length L grows like L^j, so B = V diag(L^j) has
+    # the verdict of V on a unit length, for L from 1e-120 to 1e70, where
+    # L^-j passes the float range: V well conditioned or with one row a
+    # combination of the others plus a relative 1e-18 .. 1e-15 perturbation.
+    # Where an entry of B underflows only a verdict is asked for.
+    rng = np.random.default_rng(20261020)
+    compared = singular = 0
+    for _ in range(2000):
+        n = int(rng.integers(2, 6))
+        base = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
+        dependent = rng.random() < 0.5
+        if dependent:
+            base[-1] = rng.standard_normal(n - 1) @ base[:-1]
+            noise = 10.0 ** rng.uniform(-18, -15) * np.abs(base[-1]).max()
+            base[-1] += noise * rng.standard_normal(n)
+        length = 10.0 ** rng.uniform(-120, 70)
+        with np.errstate(under="ignore"):
+            mat = base * length ** np.arange(n)
+        try:
+            ode_module.require_invertible(mat, length)
+            verdict = False
+        except NonUniqueCrispSolution:
+            verdict = True
+        if not (np.finfo(float).tiny <= np.abs(mat)).all():
+            continue
+        assert verdict == dependent, (base, length)
+        compared += 1
+        singular += verdict
+    assert compared > 500 and 100 < singular < compared - 100
 
 
 @st.composite
