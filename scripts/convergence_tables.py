@@ -8,7 +8,7 @@ import sys
 import numpy as np
 
 from fuzzybvp.ode import LinearODE, TimeGrid, integrate_ivp
-from fuzzybvp.oracle import FDMesh, fd_solve
+from fuzzybvp.oracle import fd_solve
 
 ODE = LinearODE.from_strings(2, ["-3", "2"], "4*t - 6")
 E = np.e
@@ -42,9 +42,9 @@ def fd_table(interior_counts):
     print(f"{'m':>8} {'sup error':>14} {'ratio':>8}")
     previous = None
     for m in interior_counts:
-        mesh = FDMesh(0.0, 1.0, m)
-        x = fd_solve(ODE, 2.0, 3.0, mesh)
-        err = float(np.max(np.abs(x - crisp_closed(mesh.nodes()))))
+        grid = TimeGrid(0.0, 1.0, m + 2)
+        x = fd_solve(ODE, 2.0, 3.0, grid)
+        err = float(np.max(np.abs(x - crisp_closed(grid.nodes()))))
         ratio = "" if previous is None else f"{previous / err:8.2f}"
         print(f"{m:8d} {err:14.3e} {ratio:>8}")
         previous = err

@@ -13,7 +13,7 @@ import numpy as np
 
 from fuzzybvp.cli import example_problem_document, problem_from_document
 from fuzzybvp.ode import TimeGrid
-from fuzzybvp.oracle import FDMesh, compare, envelope
+from fuzzybvp.oracle import compare, envelope
 from fuzzybvp.solver import solve_fuzzy_bvp
 
 
@@ -41,9 +41,8 @@ def summarize(which, mesh_points, band_alphas):
             row += f"  [{cut.lo:9.5f} {cut.hi:9.5f}]"
         print(row)
 
-    mesh = FDMesh(t0, t_end, mesh_points)
-    band = solution.band([0.0], grid=TimeGrid(t0, t_end, mesh.interior_points + 2))
-    report = compare(band, envelope(problem, 0.0, 2, mesh))
+    grid = TimeGrid(t0, t_end, mesh_points + 2)
+    report = compare(solution.band([0.0], grid=grid), envelope(problem, 0.0, 2, grid))
     print(f"\noracle check (m = {mesh_points}, support level): "
           f"max deviation {report.max_deviation:.3e}")
     print()

@@ -29,7 +29,7 @@ from .ode import (
     solve_crisp_bvp,
     weight_functions,
 )
-from .oracle import FDMesh, OracleEnvelope, SingularDiscretizationError, compare, envelope, fd_solve
+from .oracle import SingularDiscretizationError, compare, envelope, fd_solve
 from .solver import FuzzyBVP, FuzzySolution, SolutionBand, solve_fuzzy_bvp
 
 __version__ = "0.1.0"
@@ -57,8 +57,6 @@ __all__ = [
     "integrate_ivp",
     "solve_crisp_bvp",
     "weight_functions",
-    "FDMesh",
-    "OracleEnvelope",
     "SingularDiscretizationError",
     "compare",
     "envelope",

@@ -304,6 +304,17 @@ def boundary_matrix(basis: Sequence[Trajectory], points: Sequence[float]) -> np.
     return np.column_stack([traj.value(points) for traj in basis])
 
 
+def _at_points(grid: TimeGrid, rows: np.ndarray, points) -> np.ndarray:
+    """The columns of node rows (c, >= 2, N) at ``points``; raises ValueError if a basis column
+    (the first len(points)) is subnormal at every point: its few bits would set the weights."""
+    at = _hermite(grid, *rows[:, :2].transpose(1, 2, 0), np.array(points, dtype=float))
+    top = np.abs(at[:, :len(points)]).max(axis=0)
+    if top.min() < np.finfo(float).tiny:
+        raise ValueError(f"basis solution {top.argmin() + 1} is at most {top.min():.1e} at the "
+                         f"boundary points, below the normal float range")
+    return at
+
+
 def require_invertible(mat: np.ndarray, length: float) -> None:
     """Singularity test on the boundary matrix of a basis over an interval of
     ``length``, with column j scaled by length^-j (basis column j grows like
@@ -377,13 +388,13 @@ def weight_functions(grid: TimeGrid, basis: np.ndarray, boundary_points: Sequenc
     slopes, which the weights overwrite and then view, read-only.  The boundary
     ``matrix``, if given, has passed ``require_invertible``.
 
-    Raises NonUniqueCrispSolution for a singular boundary matrix and
-    UnitPropertyError when rounding leaves the weights off the unit
-    property at a boundary point by more than KRONECKER_TOL.
+    Raises ValueError for a subnormal basis column, NonUniqueCrispSolution for a
+    singular boundary matrix and UnitPropertyError when rounding leaves the
+    weights off the unit property at a boundary point by more than KRONECKER_TOL.
     """
     points = tuple(float(p) for p in boundary_points)
     if matrix is None:
-        matrix = _hermite(grid, *basis.transpose(1, 2, 0), np.array(points))
+        matrix = _at_points(grid, basis, points)
         require_invertible(matrix, grid.t_end - grid.t0)
     _solve_dividing(matrix.T, basis)
     basis.flags.writeable = False
@@ -426,11 +437,11 @@ def _basis_and_crisp(ode: LinearODE, grid: TimeGrid, points: Sequence[float],
     """One scan's node rows (n+1, max(n, 2), N) (see ``_rk4_scan``): columns
     0..n-1 the basis from e_1, ..., e_n, column n the particular solution from
     the zero state, corrected in place by the basis combination that meets
-    ``values`` at ``points``; and the checked boundary matrix.  Raises
-    NonUniqueCrispSolution if it is singular, ValueError for a non-finite crisp solution."""
+    ``values`` at ``points``; and the checked boundary matrix.  Raises NonUniqueCrispSolution
+    if it is singular, ValueError for a subnormal basis column or a non-finite crisp solution."""
     n = ode.order
     columns = _propagate(ode, grid, np.eye(n + 1))
-    at_points = _hermite(grid, *columns[:, :2].transpose(1, 2, 0), np.array(points, dtype=float))
+    at_points = _at_points(grid, columns, points)
     require_invertible(at_points[:, :n], grid.t_end - grid.t0)
     coefficients = np.linalg.solve(at_points[:, :n], values - at_points[:, n])
     # rounded as numpy's einsum and matmul round it, so that outputs keep their bits:

@@ -2,14 +2,15 @@
 
 This module deliberately avoids the RK4/weight-function machinery.  It
 discretizes order-2 two-point problems with central differences on a
-uniform mesh and solves the crisp problem for every sample pair on a grid
+``TimeGrid`` and solves the crisp problem for every sample pair on a grid
 over the boundary alpha-cut rectangle.  One Thomas kernel factors the
 matrix once, runs the forward sweep once per distinct left sample (the
 right value enters only at the last row) and the back sweep on all pairs
-at once, folding each node's min/max into the envelope.  Every pair still
-gets exactly the float operations of its own solve; no superposition is
-used, so the envelope does not lean on the linearity the solver rests on.
-Only the expression evaluator is shared with the main solve path.
+at once, folding each node's min/max into a one-level ``SolutionBand``.
+Every pair still gets exactly the float operations of its own solve; no
+superposition is used, so the envelope does not lean on the linearity the
+solver rests on.  It shares only the expression evaluator and the plain
+grid and band types with the main solve path.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ode import LinearODE
+from .ode import LinearODE, TimeGrid
 from .solver import FuzzyBVP, SolutionBand
 
 
@@ -27,46 +28,27 @@ class SingularDiscretizationError(Exception):
     """Zero pivot while eliminating the tridiagonal system."""
 
 
-@dataclass(frozen=True)
-class FDMesh:
-    """Uniform mesh with ``interior_points`` nodes strictly inside [t0, t_end]."""
-
-    t0: float
-    t_end: float
-    interior_points: int
-
-    def __post_init__(self):
-        if not self.t_end > self.t0:
-            raise ValueError(f"need t_end > t0, got [{self.t0}, {self.t_end}]")
-        if not math.isfinite(self.t_end - self.t0):
-            raise ValueError(f"length t_end - t0 must be finite, got [{self.t0}, {self.t_end}]")
-        if self.interior_points < 3:
-            raise ValueError(f"need at least 3 interior points, got {self.interior_points}")
-
-    @property
-    def step(self) -> float:
-        return (self.t_end - self.t0) / (self.interior_points + 1)
-
-    def nodes(self) -> np.ndarray:
-        return np.linspace(self.t0, self.t_end, self.interior_points + 2)
-
-
-def _interior_coefficients(ode: LinearODE, mesh: FDMesh):
+def _interior_coefficients(ode: LinearODE, grid: TimeGrid):
     """Tridiagonal coefficients of the central-difference discretization.
 
     At each interior node: (x[i+1] - 2 x[i] + x[i-1]) / h^2
     + a1 (x[i+1] - x[i-1]) / (2h) + a2 x[i] = f.
     """
-    h = mesh.step
-    interior = mesh.nodes()[1:-1]
+    if ode.order != 2:
+        raise ValueError(f"finite-difference oracle supports order 2 only, got {ode.order}")
+    if grid.num_points < 5:
+        raise ValueError(f"need at least 3 interior points, got {grid.num_points - 2}")
+    h = np.float64(grid.step)  # so that an h^2 that underflows gives 1 / h^2 = inf
+    interior = grid.nodes(1, grid.num_points - 1)
     a1 = ode.coeffs[0].evaluate(interior)
     a2 = ode.coeffs[1].evaluate(interior)
     force = ode.forcing.evaluate(interior)
-    inv_h2 = 1.0 / (h * h)
-    half_h = 0.5 / h
-    sub = inv_h2 - a1 * half_h
-    diag = -2.0 * inv_h2 + a2
-    sup = inv_h2 + a1 * half_h
+    with np.errstate(all="ignore"):  # inf and nan: the elimination reports non-finite values
+        inv_h2 = 1.0 / (h * h)
+        half_h = 0.5 / h
+        sub = inv_h2 - a1 * half_h
+        diag = -2.0 * inv_h2 + a2
+        sup = inv_h2 + a1 * half_h
     return sub, diag, sup, force
 
 
@@ -112,61 +94,41 @@ def _thomas_envelope(sub, diag, sup, force, lefts, rights):
 
 
 def fd_solve(ode: LinearODE, left_value: float, right_value: float,
-             mesh: FDMesh) -> np.ndarray:
+             grid: TimeGrid) -> np.ndarray:
     """Sampled solution of an order-2 two-point problem, O(h^2) accurate.
 
-    Returns the values at all mesh nodes, boundary values included.
+    Returns the values at all grid nodes, boundary values included.
     """
-    if ode.order != 2:
-        raise ValueError(f"finite-difference solver supports order 2 only, got {ode.order}")
-    return _thomas_envelope(*_interior_coefficients(ode, mesh), [left_value], [right_value])[0]
-
-
-@dataclass(frozen=True)
-class OracleEnvelope:
-    """Per-node min/max of sampled crisp solutions at one alpha level."""
-
-    mesh: FDMesh
-    alpha: float
-    lower: np.ndarray = field(repr=False)
-    upper: np.ndarray = field(repr=False)
+    return _thomas_envelope(*_interior_coefficients(ode, grid), [left_value], [right_value])[0]
 
 
 def envelope(problem: FuzzyBVP, alpha: float, samples_per_axis: int,
-             mesh: FDMesh) -> OracleEnvelope:
+             grid: TimeGrid) -> SolutionBand:
     """Brute-force envelope over the boundary alpha-cut rectangle.
 
     Every (a, b) on a samples_per_axis x samples_per_axis grid over the cut
     rectangle defines one crisp two-point problem; each is solved with the
-    finite-difference path and the per-node min/max accumulated.
+    finite-difference path and the per-node min/max kept, as a band of the
+    one level ``alpha`` on ``grid``.
     """
-    if problem.ode.order != 2:
-        raise ValueError(f"oracle envelope supports order 2 only, got {problem.ode.order}")
     if samples_per_axis < 2:
         raise ValueError("need at least 2 samples per axis (the rectangle corners)")
-    span = mesh.t_end - mesh.t0
-    by_point = {}
-    for p, value in problem.conditions:
-        if abs(p - mesh.t0) <= 1e-12 * span:
-            by_point["left"] = value
-        elif abs(p - mesh.t_end) <= 1e-12 * span:
-            by_point["right"] = value
-    if set(by_point) != {"left", "right"}:
+    slack = 1e-12 * (grid.t_end - grid.t0)
+    ends = [[value for p, value in problem.conditions if abs(p - end) <= slack]
+            for end in (grid.t0, grid.t_end)]
+    if [len(values) for values in ends] != [1, 1]:
         raise ValueError("oracle envelope requires one condition at each interval end")
-
-    left_cut = by_point["left"].alpha_cut(alpha)
-    right_cut = by_point["right"].alpha_cut(alpha)
-    for cut in (left_cut, right_cut):
+    samples = []
+    for (value,) in ends:
+        cut = value.alpha_cut(alpha)
         # Python floats: the width overflows to inf without a numpy warning.
         if not math.isfinite(float(cut.hi) - float(cut.lo)):
             raise SingularDiscretizationError(
                 f"alpha cut [{cut.lo}, {cut.hi}] is wider than the float range, "
                 "so its samples would be non-finite values")
-    left_samples = np.linspace(left_cut.lo, left_cut.hi, samples_per_axis)
-    right_samples = np.linspace(right_cut.lo, right_cut.hi, samples_per_axis)
-
-    return OracleEnvelope(mesh, float(alpha), *_thomas_envelope(
-        *_interior_coefficients(problem.ode, mesh), left_samples, right_samples))
+        samples.append(np.linspace(cut.lo, cut.hi, samples_per_axis))
+    lower, upper = _thomas_envelope(*_interior_coefficients(problem.ode, grid), *samples)
+    return SolutionBand(grid, (float(alpha),), lower[None], upper[None])
 
 
 @dataclass(frozen=True)
@@ -207,24 +169,17 @@ class EnvelopeReport:
         }
 
 
-def compare(formula: SolutionBand, oracle: OracleEnvelope) -> EnvelopeReport:
-    """Endpoint deviations per node; the band and envelope must share a grid."""
-    mesh = oracle.mesh
-    span = mesh.t_end - mesh.t0
-    grid = formula.grid
-    if (grid.num_points != mesh.interior_points + 2
-            or abs(grid.t0 - mesh.t0) > 1e-12 * span
-            or abs(grid.t_end - mesh.t_end) > 1e-12 * span):
-        raise ValueError(
-            f"grid mismatch: band has {grid.num_points} nodes on "
-            f"[{grid.t0}, {grid.t_end}], envelope has {mesh.interior_points + 2} on "
-            f"[{mesh.t0}, {mesh.t_end}]")
-    level = formula.level_index(oracle.alpha)
+def compare(formula: SolutionBand, oracle: SolutionBand) -> EnvelopeReport:
+    """Endpoint deviations per node at the oracle's level, on the grid both share."""
+    if formula.grid != oracle.grid:
+        raise ValueError(f"grid mismatch: band on {formula.grid}, envelope on {oracle.grid}")
+    alpha = oracle.alphas[0]
+    level = formula.level_index(alpha)
     return EnvelopeReport(
-        alpha=oracle.alpha,
-        nodes=mesh.nodes(),
+        alpha=alpha,
+        nodes=oracle.grid.nodes(),
         formula_lower=formula.lower[level].copy(),
         formula_upper=formula.upper[level].copy(),
-        oracle_lower=oracle.lower.copy(),
-        oracle_upper=oracle.upper.copy(),
+        oracle_lower=oracle.lower[0].copy(),
+        oracle_upper=oracle.upper[0].copy(),
     )

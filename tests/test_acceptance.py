@@ -16,7 +16,7 @@ from fuzzybvp.ode import (
     homogeneous_basis,
     integrate_ivp,
 )
-from fuzzybvp.oracle import FDMesh, compare, envelope, fd_solve
+from fuzzybvp.oracle import compare, envelope, fd_solve
 from fuzzybvp.solver import solve_fuzzy_bvp
 
 
@@ -113,13 +113,12 @@ def test_criterion_06_oracle_equivalence():
     for make in (reference.make_example1, reference.make_example2):
         problem = make()
         solution = solve_fuzzy_bvp(problem)
-        mesh = FDMesh(problem.grid.t0, problem.grid.t_end, 1999)
-        band_grid = TimeGrid(mesh.t0, mesh.t_end, mesh.interior_points + 2)
-        band = solution.band([0.0, 0.5], grid=band_grid)
+        grid = TimeGrid(problem.grid.t0, problem.grid.t_end, 1999 + 2)
+        band = solution.band([0.0, 0.5], grid=grid)
         for alpha in (0.0, 0.5):
-            corners = envelope(problem, alpha, 2, mesh)
+            corners = envelope(problem, alpha, 2, grid)
             worst_dev = max(worst_dev, compare(band, corners).max_deviation)
-            dense = envelope(problem, alpha, 21, mesh)
+            dense = envelope(problem, alpha, 21, grid)
             worst_ext = max(worst_ext,
                             float(np.max(corners.lower - dense.lower)),
                             float(np.max(dense.upper - corners.upper)))
@@ -140,9 +139,9 @@ def test_criterion_07_convergence_orders():
         return np.max(np.abs(traj.values - (2.0 * np.exp(nodes) - np.exp(2.0 * nodes))))
 
     def fd_error(m):
-        mesh = FDMesh(0.0, 1.0, m)
-        x = fd_solve(ode1, 2.0, 3.0, mesh)
-        closed = np.array([reference.ex1_crisp(t) for t in mesh.nodes()])
+        grid = TimeGrid(0.0, 1.0, m + 2)
+        x = fd_solve(ode1, 2.0, 3.0, grid)
+        closed = np.array([reference.ex1_crisp(t) for t in grid.nodes()])
         return np.max(np.abs(x - closed))
 
     rk4_ratio = rk4_error(40) / rk4_error(80)

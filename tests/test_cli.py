@@ -33,7 +33,7 @@ from fuzzybvp.cli import (
 )
 from fuzzybvp.fuzzy import TriangularFuzzyNumber
 from fuzzybvp.ode import DEFAULT_STEPS, TimeGrid
-from fuzzybvp.oracle import FDMesh, compare, envelope
+from fuzzybvp.oracle import compare, envelope
 from fuzzybvp.solver import BLOCK_ROWS, SolutionBand, solve_fuzzy_bvp
 
 
@@ -258,21 +258,31 @@ class TestSolveCommand:
         # x^(5) + x = 0 on [0, 1e-80] at 0, L/4, L/2, 3L/4 and L: length^-4
         # passes the float range, and the singularity test's column scaling
         # overflowed into a NaN verdict, three numpy warnings and exit 1.  The
-        # basis column x^(4)/24 ~ 4e-322 is subnormal, and the quartic through
-        # these vertices needs a coefficient ~1e320: one line, exit 1, no warning
+        # basis column x^(4)/24 ~ 4e-322 is subnormal at every point: one
+        # line, exit 1, no warning, before any output
+        self.assert_short_order_5_exits_1(tmp_path, capsys, (0, 0, 0, 0, 1))
+
+    def test_order_5_subnormal_column_no_longer_sets_the_weights(self, tmp_path, capsys):
+        # with the vertices on a line the same problem exited 0 with weights
+        # 2.3 off the Lagrange basis, set by the ~7 bits of that column
+        self.assert_short_order_5_exits_1(tmp_path, capsys, (0, 0.25, 0.5, 0.75, 1))
+
+    @staticmethod
+    def assert_short_order_5_exits_1(tmp_path, capsys, vertices):
         length = 1e-80
         doc = {"equation": {"order": 5, "coeffs": ["0", "0", "0", "0", "1"], "forcing": "0"},
                "interval": {"t0": 0, "T": length},
                "conditions": [{"t": f * length, "value": {"type": "triangular", "l": m - 0.5,
                                                           "m": m, "r": m + 0.5}}
-                              for f, m in ((0, 0), (0.25, 0), (0.5, 0), (0.75, 0), (1, 1))]}
+                              for f, m in zip((0, 0.25, 0.5, 0.75, 1), vertices)]}
         path, out = tmp_path / "short.json", tmp_path / "band.csv"
         path.write_text(json.dumps(doc), encoding="utf-8")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run_cli(["solve", str(path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err == "error: trajectory contains non-finite entries\n"
+        assert err == ("error: basis solution 5 is at most 4.2e-322 at the boundary points, "
+                       "below the normal float range\n")
         assert not out.exists()
 
     def test_validation_error_exits_1(self, tmp_path, capsys):
@@ -586,8 +596,9 @@ class TestByteIdentity:
         assert run_cli(["verify", path, "--alpha", "0.6", "--samples", "3", "--mesh", "199",
                         "--tolerance", "1e-3", "--out", str(out)]) == 0
         problem = load(path)
-        band = solve_fuzzy_bvp(problem).band([0.6], grid=TimeGrid(0.0, 2.0, 201))
-        report = compare(band, envelope(problem, 0.6, 3, FDMesh(0.0, 2.0, 199)))
+        grid = TimeGrid(0.0, 2.0, 201)
+        report = compare(solve_fuzzy_bvp(problem).band([0.6], grid=grid),
+                         envelope(problem, 0.6, 3, grid))
         doc = {"problem": path, "mesh_interior_points": 199, "samples_per_axis": 3,
                "tolerance": 1e-3, "passed": True,
                **{k: list(v) if isinstance(v, np.ndarray) else v
@@ -602,9 +613,9 @@ class TestByteIdentity:
         assert run_cli(["verify", path, "--alpha", str(alpha), "--samples", "21",
                         "--mesh", "1999", "--out", str(out)]) == 0
         problem = load(path)
-        t_end = problem.grid.t_end
-        band = solve_fuzzy_bvp(problem).band([alpha], grid=TimeGrid(0.0, t_end, 2001))
-        report = compare(band, envelope(problem, alpha, 21, FDMesh(0.0, t_end, 1999)))
+        grid = TimeGrid(0.0, problem.grid.t_end, 2001)
+        report = compare(solve_fuzzy_bvp(problem).band([alpha], grid=grid),
+                         envelope(problem, alpha, 21, grid))
         doc = {"problem": path, "mesh_interior_points": 1999, "samples_per_axis": 21,
                "tolerance": 1e-4, "passed": True,
                **{k: list(v) if isinstance(v, np.ndarray) else v

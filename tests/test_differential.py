@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from fuzzybvp.fuzzy import ParametricFuzzyNumber, TriangularFuzzyNumber
 from fuzzybvp.ode import LinearODE, NonUniqueCrispSolution, TimeGrid
-from fuzzybvp.oracle import FDMesh, compare, envelope
+from fuzzybvp.oracle import compare, envelope
 from fuzzybvp.solver import FuzzyBVP, solve_fuzzy_bvp
 
 # Interior points of the oracle meshes: steps h and h/2, the coarse nodes
@@ -35,15 +35,15 @@ def deviation_and_tolerance(problem, alpha, samples):
     magnitude smaller, and needs no term of its own.
     """
     t0, t_end = problem.grid.t0, problem.grid.t_end
-    coarse, fine = (envelope(problem, alpha, samples, FDMesh(t0, t_end, m))
+    coarse, fine = (envelope(problem, alpha, samples, TimeGrid(t0, t_end, m + 2))
                     for m in (COARSE, FINE))
     # error ~ C h^2, so coarse - fine ~ 3/4 C h^2
-    fd_error = 4.0 / 3.0 * max(np.abs(coarse.lower - fine.lower[::2]).max(),
-                               np.abs(coarse.upper - fine.upper[::2]).max())
+    fd_error = 4.0 / 3.0 * max(np.abs(coarse.lower - fine.lower[:, ::2]).max(),
+                               np.abs(coarse.upper - fine.upper[:, ::2]).max())
     # Rounding in the tridiagonal solve grows with its condition number, ~ (m + 1)^2.
     scale = max(1.0, np.abs(coarse.lower).max(), np.abs(coarse.upper).max())
     rounding = (COARSE + 1) ** 2 * np.finfo(float).eps * scale
-    band = solve_fuzzy_bvp(problem).band([alpha], grid=TimeGrid(t0, t_end, COARSE + 2))
+    band = solve_fuzzy_bvp(problem).band([alpha], grid=coarse.grid)
     return compare(band, coarse).max_deviation, ESTIMATE_FACTOR * fd_error + rounding
 
 

@@ -1,7 +1,9 @@
 """Problem-file fuzzer: every document that ``fuzzybvp solve`` is given either
 solves into a well-formed band (exit 0) or fails with a documented exit code
 (1 or 2) and a one-line message, or a validation report of one line per field,
-and never raises or warns (the suite turns warnings into errors).
+and never raises or warns (the suite turns warnings into errors).  The same
+holds of ``fuzzybvp verify`` on order-2 documents with a condition at each
+end, whose report (exit 0 or 3) is read back.
 
 The documents are drawn mostly valid, so that most of them reach the solver:
 orders 1-4, expressions from the grammar with literals such as 1e300 and
@@ -54,13 +56,15 @@ def fuzzy_values(draw):
 
 
 @st.composite
-def documents(draw):
-    order = draw(st.integers(1, 4))
+def documents(draw, orders=st.integers(1, 4), at_ends=False):
+    order = draw(orders)
     t0 = draw(st.sampled_from([0.0, -1.0, 5.0, 1e6]))
     length = draw(st.sampled_from([1e-6, 1e-3, 0.5, 1.0, 2.0, 10.0, 100.0])
                   | st.floats(1e-6, 100.0))
     pool = [0.0, 1.0, 0.5, 0.7, 0.7003, draw(st.floats(0.0, 1.0))]
     fractions = draw(st.permutations(pool))[:order]
+    if at_ends:  # the oracle of verify needs a condition at each end
+        fractions = [0.0, 1.0]
     doc = {"equation": {"order": order,
                         "coeffs": [draw(expressions) for _ in range(order)],
                         "forcing": draw(expressions)},
@@ -120,13 +124,45 @@ def test_solve_ends_in_a_band_or_one_documented_line(doc, fmt):
         message = stderr.getvalue()
         event(f"exit {code}")
         assert code in (0, 1, 2), (code, message)
-        if code:  # one line, or a validation report: a heading and one line per field
-            first, *fields = message.splitlines()
-            assert message.endswith("\n") and first and "Traceback" not in message, message
-            if fields:
-                assert first == "invalid problem file:", message
-                assert all(line.startswith("  ") for line in fields), message
-            assert not os.path.exists(out)
+        if code:
+            check_failure(message, out)
             return
         assert message == ""
         check_band(*(read_csv(out) if fmt == "csv" else read_json(out)))
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(documents(orders=st.just(2), at_ends=True), st.integers(3, 60), st.integers(2, 5),
+       st.floats(0.0, 1.0))
+def test_verify_ends_in_a_report_or_one_documented_line(doc, mesh, samples, alpha):
+    with tempfile.TemporaryDirectory() as tmp:
+        problem, out = os.path.join(tmp, "problem.json"), os.path.join(tmp, "report.json")
+        with open(problem, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = cli.main(["verify", problem, "--mesh", str(mesh), "--samples", str(samples),
+                             "--alpha", repr(alpha), "--out", out])
+        message = stderr.getvalue()
+        event(f"exit {code}")
+        assert code in (0, 1, 2, 3), (code, message)
+        if code in (1, 2):
+            check_failure(message, out)
+            return
+        with open(out, encoding="utf-8") as handle:
+            report = json.load(handle)
+        t = report["t"]
+        assert len(t) == mesh + 2 and all(a < b for a, b in zip(t, t[1:]))
+        assert report["passed"] is (code == 0)
+        assert (message == "") if code == 0 else message.startswith("verification failed:")
+
+
+def check_failure(message, out):
+    """One line, or a validation report: a heading and one line per field; and
+    no output file."""
+    first, *fields = message.splitlines()
+    assert message.endswith("\n") and first and "Traceback" not in message, message
+    if fields:
+        assert first == "invalid problem file:", message
+        assert all(line.startswith("  ") for line in fields), message
+    assert not os.path.exists(out)

@@ -825,6 +825,30 @@ class TestIntervalLength:
                                              r"8\.88e-16 at the ends"):
             TimeGrid(5.0, 5.0 + 1e-12, 1001)
 
+    @pytest.mark.parametrize("length", [1e-80, 1e-70])
+    def test_order_5_weights_are_lagrange_or_a_subnormal_column_is_refused(self, length):
+        # x^(5) + x = 0 at 0, L/4, L/2, 3L/4 and L: the weights are the
+        # quartic Lagrange basis of the points to O(L^5).  At 1e-80 the
+        # column x^(4)/24 ~ 4e-322 is subnormal and both paths that evaluate
+        # the boundary matrix refuse it; at 1e-70 it is normal (4e-282).
+        ode = LinearODE.from_strings(5, ["0", "0", "0", "0", "1"], "0")
+        grid = TimeGrid(0.0, length, 1001)
+        points = [length * k / 4 for k in range(5)]
+        basis = homogeneous_basis(ode, grid)
+        if length == 1e-80:
+            message = "basis solution 5 is at most 4.2e-322 at the boundary points"
+            with pytest.raises(ValueError, match=message):
+                basis_weights(basis, points)
+            with pytest.raises(ValueError, match=message):
+                solve_crisp_bvp(ode, list(zip(points, [0.0, 0.25, 0.5, 0.75, 1.0])), grid)
+            return
+        t = grid.nodes()
+        lagrange = np.ones((t.size, 5))
+        for i, p in enumerate(points):
+            for q in points[:i] + points[i + 1:]:
+                lagrange[:, i] *= (t - q) / (p - q)
+        assert np.abs(basis_weights(basis, points).weights - lagrange).max() <= 1e-13
+
     def test_grid_on_a_short_interval_at_five_accepted(self):
         # h/2 = 5e-15 is above the float spacing at 5
         ode = LinearODE.from_strings(2, ["0", "0"], "0")
