@@ -126,8 +126,9 @@ def _hermite(grid: TimeGrid, values: np.ndarray, slopes: np.ndarray, t) -> np.nd
     nodes (4th-order accurate in between, matching the integrator).
     """
     t = np.asarray(t, dtype=float)
-    inside = grid.contains(t)
-    if not inside.all():
+    # NaN carries through min and max; the elementwise test only names the first bad t
+    if t.size and not (grid.contains(t.min()) and grid.contains(t.max())):
+        inside = grid.contains(t)
         bad = float(t.ravel()[np.argmin(inside.ravel())])
         raise ValueError(f"t = {bad} outside the grid interval [{grid.t0}, {grid.t_end}]")
     h = grid.step
@@ -140,11 +141,12 @@ def _hermite(grid: TimeGrid, values: np.ndarray, slopes: np.ndarray, t) -> np.nd
     # max(q, 1) is max(|q|, 1)
     nearest = np.rint(q)
     q = np.where(np.abs(q - nearest) <= SNAP_TOL * np.maximum(q, 1.0), nearest, q)
-    i = np.clip(np.floor(q).astype(np.intp), 0, grid.num_points - 2)
+    i = np.maximum(np.minimum(np.floor(q), grid.num_points - 2), 0).astype(np.intp)
     s = (q - i).reshape(t.shape + (1,) * (values.ndim - 1))
-    s2, s3 = s * s, s * s * s
+    s2 = s * s
+    s3, j = s2 * s, i + 1
     return ((2.0 * s3 - 3.0 * s2 + 1.0) * values[i] + (s3 - 2.0 * s2 + s) * h * slopes[i]
-            + (-2.0 * s3 + 3.0 * s2) * values[i + 1] + (s3 - s2) * h * slopes[i + 1])
+            + (-2.0 * s3 + 3.0 * s2) * values[j] + (s3 - s2) * h * slopes[j])
 
 
 @dataclass(frozen=True)
@@ -195,8 +197,11 @@ def _rk4_scan(ode: LinearODE, grid: TimeGrid, initial: np.ndarray) -> np.ndarray
     steps are cut into blocks.  Every block takes RK4 steps of P' = C(t) P
     from P = [I | 0], one in-block position at a time for all blocks at
     once; P is the first n rows of the block's state matrix, whose augmented
-    row stays e_n and is never stored.  Block b starts from the product of
-    the maps of blocks 0..b-1, all taken by recursive doubling in
+    row stays e_n and is never stored.  The states are kept position-major,
+    (block, blocks, n, n+1), so that each position's store is one contiguous
+    write rather than a scatter at the stride of a whole block, and the views
+    the steps read are built once, before the loop.  Block b starts from the
+    product of the maps of blocks 0..b-1, all taken by recursive doubling in
     ceil(log2 blocks) batched products (Hillis and Steele, CACM 29, 1986),
     and one batched product writes every node.  The coefficients and the
     forcing are evaluated once on the half-step lattice t0 + h/2 k (t_end at
@@ -226,35 +231,42 @@ def _rk4_scan(ode: LinearODE, grid: TimeGrid, initial: np.ndarray) -> np.ndarray
     z1, z2, z3, z4 = (np.empty((m, m, blocks)) for _ in range(4))
     prod, total = z1[:n], np.empty((n, m, blocks))
     prod[:] = np.eye(n, m)[:, :, None]
-    local = np.empty((blocks, block, n, m))  # in-block states
+    local = np.empty((block, blocks, n, m))  # in-block states, position-major
+    # every view the loop reads, built once: per stage its argument, new row,
+    # forcing entry, slope and the next stage's argument; per lattice row its
+    # coefficients and its forcing
+    coeffs, forces = list(rows[:, :n]), list(rows[:, n])
+    stages = [(z[:n], z[n], z[n, n], z[1:], None if nxt is None else nxt[:n], a, row)
+              for z, nxt, a, row in ((z1, z2, 0.5 * h, 0), (z2, z3, 0.5 * h, 1),
+                                     (z3, z4, h, 1), (z4, None, 0.0, 2))]
+    slope1, slope2, slope3, slope4 = (stage[3] for stage in stages)
     for i in range(block):
-        for r, z, nxt, a in ((rows[2 * i], z1, z2, 0.5 * h), (rows[2 * i + 1], z2, z3, 0.5 * h),
-                             (rows[2 * i + 1], z3, z4, h), (rows[2 * i + 2], z4, None, 0.0)):
-            np.einsum("jb,jkb->kb", r[:n], z[:n], out=z[n])
-            z[n, n] += r[n]
+        for arg, new, forcing, slope, nxt, a, row in stages:  # lattice row 2 i + row
+            np.einsum("jb,jkb->kb", coeffs[2 * i + row], arg, out=new)
+            forcing += forces[2 * i + row]
             if nxt is not None:
-                np.multiply(z[1:], a, out=nxt[:n])
-                nxt[:n] += prod
-        np.add(z2[1:], z3[1:], out=total)
+                np.multiply(slope, a, out=nxt)
+                nxt += prod
+        np.add(slope2, slope3, out=total)
         total *= 2.0
-        total += z1[1:]
-        total += z4[1:]
+        total += slope1
+        total += slope4
         total *= h / 6.0
         prod += total
-        local[:, i] = prod.transpose(2, 0, 1)
+        local[i] = prod.transpose(2, 0, 1)
     # maps[b] becomes the product of the maps of blocks b-1, ..., 0 (maps[0] = I),
     # whose augmented row e_n keeps a column without forcing free of it
     maps = np.zeros((blocks, m, m))
-    maps[0], maps[1:, :n], maps[:, n, n] = np.eye(m), local[:-1, -1], 1.0
+    maps[0], maps[1:, :n], maps[:, n, n] = np.eye(m), local[-1, :-1], 1.0
     for s in (1 << k for k in range((blocks - 1).bit_length())):  # 1, 2, 4, ... < blocks
         maps[s:] = maps[s:] @ maps[:-s]
     c, starts = initial.shape[1], maps @ initial
     if n == 1:  # -a_1 and f at the nodes
         nodes = np.concatenate([rows[:-1:2].transpose(1, 2, 0).reshape(m, -1), rows[-1, :, -1:]], 1)
-    del rows, r  # r is a view of rows
+    del rows, coeffs, forces  # the lattice, before out is allocated
     out = np.empty((c, max(n, 2), blocks * block + 1))
-    # state row k of column j at node 1 + b block + i is (local[b, i] @ starts[b])[k, j]
-    np.matmul(local.transpose(0, 2, 1, 3), starts[:, None],
+    # state row k of column j at node 1 + b block + i is (local[i, b] @ starts[b])[k, j]
+    np.matmul(local.transpose(1, 2, 0, 3), starts[:, None],
               out=out[:, :n, 1:].reshape(c, n, blocks, block).transpose(2, 1, 3, 0))
     out[:, :n, 0] = initial[:n].T
     if n == 1:  # x' = -a_1 x + z f, where the augmented component z stays constant
@@ -269,7 +281,9 @@ def _propagate(ode: LinearODE, grid: TimeGrid, initial: np.ndarray) -> np.ndarra
     with np.errstate(over="ignore", invalid="ignore"):
         columns = _rk4_scan(ode, grid, initial)
     states = columns[:, :ode.order]
-    if not np.isfinite(states).all():  # one flat pass; per node only to name the node
+    # NaN and +-inf carry through min and max: two reductions, no boolean array;
+    # the per-node pass runs only to name the first bad node
+    if not (np.isfinite(states.min()) and np.isfinite(states.max())):
         finite = np.isfinite(states).all(axis=(0, 1))
         node = int(np.argmin(finite))
         raise IntegrationError(f"integration blew up at node {node} "

@@ -96,7 +96,9 @@ class FuzzySolution:
     """Lazy fuzzy solution: weights and crisp solution in one array, uncertain parts.
 
     Bands are not precomputed; ``value_at``, ``band`` and ``band_blocks``
-    evaluate the requested cuts on demand.
+    evaluate the requested cuts on demand.  ``band`` and ``band_blocks`` walk
+    the same blocks of nodes (``_node_blocks``); ``band`` writes each block's
+    cuts straight into its arrays, ``band_blocks`` yields them.
     """
 
     grid: TimeGrid
@@ -127,17 +129,20 @@ class FuzzySolution:
                          for part in self.uncertain_parts]).transpose(0, 2, 1)
 
     @staticmethod
-    def _cuts(columns, cuts) -> tuple[np.ndarray, np.ndarray]:
+    def _cuts(columns, cuts, lower=None, upper=None) -> tuple[np.ndarray, np.ndarray]:
         """Per-level lower and upper cut endpoints at ``columns``, whose last
         axis holds the n weights and then the crisp value, for the levels of
-        ``cuts`` (see ``_cut_table``).
+        ``cuts`` (see ``_cut_table``), written into ``lower`` and ``upper``
+        (levels, ...) if given, else into new arrays.
 
         Each uncertain part adds the min and max of its weighted cut
         endpoints at every level: the interval image of the boundary-value
         box under the linear value map.
         """
-        lower = np.broadcast_to(columns[..., -1], (cuts.shape[-1],) + columns.shape[:-1]).copy()
-        upper = lower.copy()
+        if lower is None:
+            lower = np.empty((cuts.shape[-1],) + columns.shape[:-1])
+            upper = np.empty_like(lower)
+        lower[...] = upper[...] = columns[..., -1]
         for i, cut in enumerate(cuts):
             a, b = np.multiply.outer(cut, columns[..., i])
             lower += np.minimum(a, b)
@@ -150,21 +155,32 @@ class FuzzySolution:
                                   self._cut_table([_check_alpha(alpha)]))
         return fuzzy._checked_interval(float(lower[0]), float(upper[0]))
 
+    def _node_blocks(self, grid: TimeGrid):
+        """``(start, stop, columns)`` for each ``BLOCK_ROWS`` nodes of the
+        grid: the weights and the crisp value there (nodes, n+1), slices of
+        the node values on the solution grid and interpolated on another."""
+        values, slopes = self.columns.transpose(1, 2, 0)  # (nodes, n+1) each
+        on_grid = grid == self.grid
+        for start in range(0, grid.num_points, BLOCK_ROWS):
+            stop = min(start + BLOCK_ROWS, grid.num_points)
+            yield start, stop, (values[start:stop] if on_grid else
+                                _hermite(self.grid, values, slopes, grid.nodes(start, stop)))
+
     def band(self, alphas, grid: TimeGrid | None = None) -> SolutionBand:
         """Alpha-cut band over a grid (the solution grid by default).
 
         Levels are sorted ascending and deduplicated; per node the returned
-        intervals are nested across increasing alpha.  The arrays are filled
-        from ``band_blocks``.
+        intervals are nested across increasing alpha.  Each block of nodes
+        (see ``band_blocks``) has its cuts written straight into the band's
+        arrays, and on the solution grid no node times are built.
         """
         grid = self.grid if grid is None else grid
         levels = alpha_levels(alphas)
+        cuts = self._cut_table(levels)
         lower = np.empty((len(levels), grid.num_points))
         upper = np.empty_like(lower)
-        start = 0
-        for t, lo, hi in self.band_blocks(levels, grid):
-            lower[:, start:start + t.size], upper[:, start:start + t.size] = lo, hi
-            start += t.size
+        for start, stop, columns in self._node_blocks(grid):
+            self._cuts(columns, cuts, lower[:, start:stop], upper[:, start:stop])
         return SolutionBand(grid, levels, lower, upper)
 
     def band_blocks(self, alphas, grid: TimeGrid):
@@ -172,17 +188,12 @@ class FuzzySolution:
         nodes of the grid, lower and upper ``(levels, nodes)`` with the
         levels of ``alpha_levels``.
 
-        The cuts are taken once.  On the solution grid the blocks are slices
-        of the node values; on another grid the nodes are interpolated.  Every
-        step is elementwise, so the blocks give the bits of one whole pass.
+        The cuts are taken once.  The blocks are ``band``'s, so they give the
+        bits of one whole pass: every step is elementwise.
         """
         cuts = self._cut_table(alpha_levels(alphas))
-        values, slopes = self.columns.transpose(1, 2, 0)  # (nodes, n+1) each
-        for start in range(0, grid.num_points, BLOCK_ROWS):
-            t = grid.nodes(start, min(start + BLOCK_ROWS, grid.num_points))
-            columns = (values[start:start + t.size] if grid == self.grid
-                       else _hermite(self.grid, values, slopes, t))
-            yield (t, *self._cuts(columns, cuts))
+        for start, stop, columns in self._node_blocks(grid):
+            yield (grid.nodes(start, stop), *self._cuts(columns, cuts))
 
     def membership_of(self, boundary_values) -> float:
         """Possibility of the crisp trajectory with these boundary values:

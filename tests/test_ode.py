@@ -168,6 +168,27 @@ class TestIntegrateIvp:
             homogeneous_basis(ode, TimeGrid(0.0, 1.0, num_points))
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf], ids=["nan", "-inf"])
+    @pytest.mark.parametrize("column, row, node", [(0, 0, 0), (2, 1, 357), (1, 0, 1000)])
+    def test_nan_or_negative_overflow_names_its_node(self, monkeypatch, bad, column, row, node):
+        # the check reduces the states by min and max, which NaN and -inf pass
+        # through as +inf does; the blow-up cases above reach +inf only
+        grid = TimeGrid(0.0, 1.0, 1001)
+        rows = np.ones((3, 2, grid.num_points))
+        rows[column, row, node] = bad
+        monkeypatch.setattr(ode_module, "_rk4_scan", lambda ode, grid, initial: rows)
+        with pytest.raises(IntegrationError) as info:
+            _propagate(EX1_ODE, grid, np.eye(3))
+        assert str(info.value) == f"integration blew up at node {node} (t = {node / 1000:g})"
+
+    def test_only_the_state_rows_are_checked(self, monkeypatch):
+        # for order 1 row 1 holds the slope, which the check leaves alone
+        rows = np.ones((2, 2, 11))
+        rows[0, 1, 4] = np.nan
+        monkeypatch.setattr(ode_module, "_rk4_scan", lambda ode, grid, initial: rows)
+        ode = LinearODE.from_strings(1, ["1"], "0")
+        assert _propagate(ode, TimeGrid(0.0, 1.0, 11), np.eye(2)) is rows
+
     @pytest.mark.parametrize("num_points", [1001, 1009])
     def test_domain_error_names_the_first_offending_stage_time(self, num_points):
         # the scan lays the lattice out block by block; the error must still

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,6 +221,22 @@ class TestBand:
         assert np.concatenate(t).tobytes() == nodes.tobytes()
         assert np.concatenate(lo, axis=1).tobytes() == lower.tobytes()
         assert np.concatenate(hi, axis=1).tobytes() == upper.tobytes()
+
+    @pytest.mark.parametrize("num_points", [None, 200001], ids=["solution grid", "off grid"])
+    def test_band_is_written_in_place(self, num_points):
+        # each block's cuts go straight into the band's arrays, so beyond them
+        # the band holds one block's temporaries: about 0.7 MB (1.4 MB on the
+        # grid and 1.5 MB off it when each block was computed and then copied)
+        solution = solve_fuzzy_bvp(reference.make_example1(100001))
+        out = None if num_points is None else TimeGrid(0.0, 1.0, num_points)
+        tracemalloc.start()
+        try:
+            band = solution.band([0.0, 0.25, 0.5, 0.75, 1.0], grid=out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert band.lower.shape == (5, num_points or 100001)
+        assert peak - band.lower.nbytes - band.upper.nbytes <= 1.0e6
 
 
 class TestOneSolutionArray:
