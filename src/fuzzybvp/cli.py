@@ -8,16 +8,18 @@ Subcommands:
 
 Every number is written as ``%.12g``, except a t column whose nodes twelve
 digits would not tell apart: CSV writes it as ``%.17g`` and JSON unrounded.
-``_format_rows`` is the one writer of ``%.12g`` arrays. It builds the digits
+``_format_bytes`` is the one writer of ``%.12g`` arrays. It builds the digits
 of every cell with a decimal exponent in [-11, 11] by integer arithmetic on
-the scaled value and leaves the rest to ``%``; the bytes are those of ``%``
-on every cell.
-``solve`` computes and writes the CSV a block of rows at a time, so its
-memory does not grow with the rows unless ``_t_format`` must compare the
-texts of all nodes (a step near the 12th digit of |t|); JSON holds the whole
-band. The JSON of ``solve`` and ``verify`` is ``_to_json``'s: the bytes of
-``json.dumps(..., indent=2)`` of the rounded values. A reader that closes
-stdout early (``fuzzybvp solve ... | head``) ends the output quietly.
+the scaled value, or from the cell's own ``%.11e`` where that arithmetic
+cannot decide, and leaves only 0, -0, nan, inf, other exponents and a
+``%.17g`` t column to ``%``; the bytes are those of ``%`` on every cell.
+``solve`` computes and writes the CSV a block of rows at a time, as bytes
+from the writer to the file or ``sys.stdout.buffer``, so its memory does not
+grow with the rows unless ``_t_format`` must compare the texts of all nodes
+(a step near the 12th digit of |t|); JSON holds the whole band. The JSON of
+``solve`` and ``verify`` is ``_to_json``'s: the bytes of ``json.dumps(...,
+indent=2)`` of the rounded values. A reader that closes stdout early
+(``fuzzybvp solve ... | head``) ends the output quietly.
 
 Exit codes: 0 success, 1 validation or usage error, a failed solve
 (non-finite integration, weights missing the unit property) or a size too
@@ -36,7 +38,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import TextIO
+from typing import BinaryIO
 
 import numpy as np
 
@@ -249,9 +251,11 @@ def _fmt(x: float) -> str:
 # trailing zeros and a lone "." dropped. The product rounds once (10**k is
 # exact up to 10**22) and is below 2**40, so it is within 2**-14 of the
 # exact one; where it lies more than 2**-11 from a half, rint gives the
-# correctly rounded m. Every other cell -- 0, -0, nan, inf, E > 11 or
-# E < -11, a product near a half or one rounding up to 1e12, and a first
-# column in another format -- is left to "%".
+# correctly rounded m. A product near a half, one rounding up to 1e12, or
+# one off by a power of ten from the rounding of log10 (about 1 cell in 1 000)
+# takes its m and E from "%.11e", which rounds correctly. Only 0, -0, nan,
+# inf, E > 11 or E < -11, and a first column in another format are left to
+# "%", over the pass's text as bytes.
 
 # floor(log10|x|) + _BIAS is positive for every finite float, so a cast floors it
 _BIAS = 400
@@ -324,16 +328,21 @@ def _format_rows(cells: np.ndarray, first: str = "%.12g", as_json: bool = False)
     ``json.dumps(float("%.12g" % x))`` instead: "3.0", "-0.0", "NaN", and
     the digits in full for exponents 12 to 15.
     """
+    return _format_bytes(cells, first, as_json).decode("ascii")
+
+
+def _format_bytes(cells: np.ndarray, first: str = "%.12g", as_json: bool = False) -> bytes:
+    """``_format_rows`` as ASCII bytes."""
     rows, cols = cells.shape
     step = max(1, _FORMAT_CELLS // cols)
     buf = np.empty((min(step, rows), cols, 32), np.uint8)
     buf[:] = _CELL
     buf[:, 0, 0] = ord("\n")  # a row's first cell follows the end of the row before
-    return "".join(_format_pass(cells[start:start + step], first, as_json, buf)
-                   for start in range(0, rows, step))
+    return b"".join(_format_pass(cells[start:start + step], first, as_json, buf)
+                    for start in range(0, rows, step))
 
 
-def _format_pass(cells: np.ndarray, first: str, as_json: bool, buf: np.ndarray) -> str:
+def _format_pass(cells: np.ndarray, first: str, as_json: bool, buf: np.ndarray) -> bytes:
     rows, cols = cells.shape
     x = cells.ravel()
     cell = buf[:rows].reshape(x.size, 32)
@@ -343,6 +352,12 @@ def _format_pass(cells: np.ndarray, first: str, as_json: bool, buf: np.ndarray) 
         p = a * _SCALE.take(exp, mode="clip")
         m = np.rint(p)
         fast = (p >= 1e11) & (m < 1e12) & (np.abs(p - m) < 0.5 - 2.0 ** -11)
+    undecided = np.flatnonzero(~fast)
+    for i, v in zip(undecided.tolist(), a[undecided].tolist()):
+        if 1e-12 < v < 1e12:  # its own correctly rounded digits
+            digits = "%.11e" % v
+            if -11 <= (e := int(digits[14:])) <= 11:
+                m[i], exp[i], fast[i] = int(digits[0] + digits[2:13]), e + _BIAS, True
     if first != "%.12g":
         fast.reshape(rows, cols)[:, 0] = False
     if as_json:  # a 12-digit integer has no room for its ".0"
@@ -375,12 +390,12 @@ def _format_pass(cells: np.ndarray, first: str, as_json: bool, buf: np.ndarray) 
         cell[by_percent, 8:8 + len(fill)] = np.frombuffer(fill, np.uint8)
         if first != "%.12g":
             cell[::cols, 8:13] = np.frombuffer(first.encode("ascii"), np.uint8)
-    text = np.compress(keep.ravel(), cell.ravel()).tobytes().decode("ascii")
+    text = np.compress(keep.ravel(), cell.ravel()).tobytes()
     if by_percent.size:
         slow_cells = x[by_percent].tolist()
-        text %= tuple([json.dumps(float(_fmt(v))) for v in slow_cells] if as_json
-                      else slow_cells)
-    return text + "\n"
+        text %= tuple([json.dumps(float(_fmt(v))).encode("ascii") for v in slow_cells]
+                      if as_json else slow_cells)
+    return text + b"\n"
 
 
 class _Unrounded(list):
@@ -433,23 +448,24 @@ def _t_format(grid: TimeGrid) -> str:
     return "%.12g" if all(a != b for a, b in zip(texts, texts[1:])) else "%.17g"
 
 
-def band_to_csv(alphas, blocks, t_format: str, handle: TextIO | None = None) -> str | None:
+def band_to_csv(alphas, blocks, t_format: str, handle: BinaryIO | None = None) -> str | None:
     """The band as CSV: one t column and a lower and an upper column per level.
 
     ``blocks`` yields ``(t, lower, upper)`` as ``band_blocks(alphas, grid)``
     does; ``t_format`` is ``_t_format`` of the grid. The text is returned, or
-    written to ``handle`` block by block as it is formatted.
+    written to the binary ``handle`` block by block as it is formatted.
     """
     alphas = alpha_levels(alphas)
     parts = []
     write = parts.append if handle is None else handle.write
-    write("t" + "".join(f",lower_{_fmt(a)},upper_{_fmt(a)}" for a in alphas) + "\n")
+    write(("t" + "".join(f",lower_{_fmt(a)},upper_{_fmt(a)}" for a in alphas)
+           + "\n").encode("ascii"))
     block = np.empty((BLOCK_ROWS, 1 + 2 * len(alphas)))
     for t, lower, upper in blocks:
         rows = block[:t.size]
         rows[:, 0], rows[:, 1::2], rows[:, 2::2] = t, lower.T, upper.T
-        write(_format_rows(rows, t_format))
-    return "".join(parts) if handle is None else None
+        write(_format_bytes(rows, t_format))
+    return b"".join(parts).decode("ascii") if handle is None else None
 
 
 def band_to_json(band: SolutionBand) -> str:
@@ -471,7 +487,7 @@ def band_to_json(band: SolutionBand) -> str:
 
 @contextlib.contextmanager
 def _output(out: str | None):
-    """The handle that the result goes to: the file ``out``, or stdout.
+    """The binary handle that the result goes to: the file ``out``, or stdout.
 
     When the reader of stdout has gone (``| head``), the rest of the output,
     the flush at exit included, goes to devnull, as the "Note on SIGPIPE" in
@@ -479,11 +495,12 @@ def _output(out: str | None):
     exit code.
     """
     if out is not None:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
+        with open(out, "wb") as handle:
             yield handle
         return
+    sys.stdout.flush()  # the text layer's bytes before the buffer's
     try:
-        yield sys.stdout
+        yield sys.stdout.buffer
         sys.stdout.flush()
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
@@ -541,7 +558,7 @@ def cmd_solve(args) -> int:
         t_format = _t_format(out_grid)
     with _output(args.out) as handle:
         if args.format == "json":
-            handle.write(text)
+            handle.write(text.encode("utf-8"))
         else:
             band_to_csv(alphas, solution.band_blocks(alphas, out_grid), t_format, handle)
     return 0
@@ -572,7 +589,7 @@ def cmd_verify(args) -> int:
     if _t_format(grid) != "%.12g":  # twelve digits would print two nodes alike
         doc["t"] = _Unrounded(doc["t"].tolist())
     with _output(args.out) as handle:
-        handle.write(_to_json(doc) + "\n")
+        handle.write((_to_json(doc) + "\n").encode("utf-8"))
     if not passed:
         sys.stderr.write(
             f"verification failed: max deviation {report.max_deviation:.3e} "

@@ -459,14 +459,17 @@ def _basis_and_crisp(ode: LinearODE, grid: TimeGrid, points: Sequence[float],
     require_invertible(at_points[:, :n], grid.t_end - grid.t0)
     coefficients = np.linalg.solve(at_points[:, :n], values - at_points[:, n])
     # rounded as numpy's einsum and matmul round it, so that outputs keep their bits:
-    # even and odd terms summed apart (its two-lane dot), the slope a node-major gemv
+    # even and odd terms summed apart (its two-lane dot) on every row but the
+    # slope's, which is a node-major gemv
     with np.errstate(over="ignore", invalid="ignore"):
-        slope = columns[n, 1] + np.ascontiguousarray(columns[:n, 1].T) @ coefficients
-        lanes = [columns[j] * coefficients[j] for j in range(min(n, 2))]
-        for j in range(2, n):
-            lanes[j % 2] += columns[j] * coefficients[j]
-        columns[n] += sum(lanes[1:], lanes[0])
-        columns[n, 1] = slope
+        columns[n, 1] += np.ascontiguousarray(columns[:n, 1].T) @ coefficients
+        for rows in (slice(0, 1), slice(2, None)):
+            lanes = [columns[j, rows] * coefficients[j] for j in range(min(n, 2))]
+            for j in range(2, n):
+                lanes[j % 2] += columns[j, rows] * coefficients[j]
+            if n > 1:
+                lanes[0] += lanes[1]
+            columns[n, rows] += lanes[0]
     if not np.isfinite(columns[n]).all():
         raise ValueError("trajectory contains non-finite entries")
     return columns, at_points[:, :n]

@@ -682,6 +682,34 @@ class TestStreamedSolve:
             assert proc.wait(timeout=60) == 0
         assert err == b""
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--points", "101"],
+        ["solve", "--points", "100001"],
+        ["solve", "--points", "1001", "--format", "json"],
+        ["verify", "--mesh", "999"],
+    ], ids=["csv 101", "csv 100001", "json", "verify"])
+    def test_stdout_through_a_pipe_matches_the_file(self, tmp_path, argv):
+        # CSV goes to sys.stdout.buffer as bytes, JSON after it is encoded
+        path = write_example(tmp_path, 1)
+        out = tmp_path / "out"
+        command, *flags = argv
+        argv = [command, path, *flags]
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        src = str(Path(fuzzybvp.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        piped = subprocess.run([sys.executable, "-m", "fuzzybvp.cli", *argv], env=env,
+                               stdin=subprocess.DEVNULL, capture_output=True, timeout=120)
+        assert (piped.returncode, piped.stderr) == (0, b"")
+        assert piped.stdout == out.read_bytes()
+        if "json" in argv:
+            solution = solve_fuzzy_bvp(load(path))
+            band = solution.band([0.0, 0.5, 1.0], grid=TimeGrid(0.0, 1.0, 1001))
+            assert piped.stdout == band_to_json(band).encode("ascii")
+        elif command == "verify":
+            assert json.loads(piped.stdout)["passed"] is True
+        else:
+            assert piped.stdout.count(b"\n") == int(flags[1]) + 1
+
 
 def float_from_bits(bits):
     return struct.unpack("<d", struct.pack("<Q", bits))[0]
@@ -758,6 +786,34 @@ json_cells = st.one_of(
 def test_to_json_series_of_mixed_cells_matches_json_module(cells):
     assert _to_json(np.array(cells)) == json.dumps([float(f"{x:.12g}") for x in cells],
                                                    indent=2)
+
+
+# (k + 0.5) / 10**j for any 12-digit k and exponent 11 down to -11, or a float
+# up to 2 ulps from it, either sign: products within 2**-11 of a half, which
+# the digit pass settles by the cell's own correctly rounded digits. The
+# smallest and largest k are drawn often: 999999999999.5 / 10**j rounds up a
+# power of ten, to 1e12 at j = 0.
+near_half_cells = st.builds(
+    lambda k, j, ulps, negative: (-1) ** negative * float_from_bits(
+        struct.unpack("<Q", struct.pack("<d", (k + 0.5) / 10 ** j))[0] + ulps),
+    st.one_of(st.integers(min_value=10 ** 11, max_value=10 ** 12 - 1),
+              st.sampled_from([10 ** 11, 10 ** 12 - 1])),
+    st.integers(min_value=0, max_value=22), st.integers(min_value=-2, max_value=2),
+    st.booleans())
+
+
+@given(st.integers(min_value=1, max_value=12).flatmap(
+           lambda cols: st.lists(st.one_of(near_half_cells, block_cells),
+                                 min_size=cols, max_size=12 * cols).map(
+               lambda cells: np.array(cells[:len(cells) // cols * cols]).reshape(-1, cols))),
+       st.sampled_from(["%.12g", "%.17g"]))
+def test_near_half_cells_match_percent_and_json_module(cells, first):
+    rows, cols = cells.shape
+    row_fmt = ",".join([first] + ["%.12g"] * (cols - 1)) + "\n"
+    assert _format_rows(cells, first) == (row_fmt * rows) % tuple(cells.ravel().tolist())
+    series = cells.ravel()
+    assert _to_json(series) == json.dumps([float(f"{x:.12g}") for x in series.tolist()],
+                                          indent=2)
 
 
 DELETE = object()
