@@ -280,14 +280,16 @@ def _propagate(ode: LinearODE, grid: TimeGrid, initial: np.ndarray) -> np.ndarra
     # overflow is detected via the finiteness check, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         columns = _rk4_scan(ode, grid, initial)
-    states = columns[:, :ode.order]
-    # NaN and +-inf carry through min and max: two reductions, no boolean array;
-    # the per-node pass runs only to name the first bad node
-    if not (np.isfinite(states.min()) and np.isfinite(states.max())):
+        states = columns[:, :ode.order]
+        total = np.add.reduce(states, axis=None)
+    # a finite sum proves every state finite; finite states can still sum past the
+    # float range, so only the per-node pass, run when the sum is not finite, raises
+    if not np.isfinite(total):
         finite = np.isfinite(states).all(axis=(0, 1))
-        node = int(np.argmin(finite))
-        raise IntegrationError(f"integration blew up at node {node} "
-                               f"(t = {grid.t0 + node * grid.step:g})")
+        if not finite.all():
+            node = int(np.argmin(finite))
+            raise IntegrationError(f"integration blew up at node {node} "
+                                   f"(t = {grid.t0 + node * grid.step:g})")
     return columns
 
 

@@ -7,6 +7,9 @@ over the boundary alpha-cut rectangle.  One Thomas kernel factors the
 matrix once, runs the forward sweep once per distinct left sample (the
 right value enters only at the last row) and the back sweep on all pairs
 at once, folding each node's min/max into a one-level ``SolutionBand``.
+The back sweep keeps each node's pairs as one flat row: a block of rows is
+filled with their forward values in one broadcast copy, and each row is
+then one multiply and one in-place subtract on contiguous vectors.
 Every pair still gets exactly the float operations of its own solve; no
 superposition is used, so the envelope does not lean on the linearity the
 solver rests on.  It shares only the expression evaluator and the plain
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -79,14 +83,18 @@ def _thomas_envelope(sub, diag, sup, force, lefts, rights):
     with np.errstate(over="ignore", invalid="ignore"):
         x = ((force[-1] - sup[-1] * rights) - sub[-1] * partial[-1]) / pivots[-1]
         lower[m], upper[m] = x.min(), x.max()
-        # Back-sweep rows are held one block (at most 2**15 doubles) at a time.
+        # Back-sweep rows are held one block (at most 2**15 doubles) at a time, flat. A block's
+        # rows start as their forward values; each row then subtracts the product of its ratio
+        # and the row after it, taken before the fill can overwrite that row.
         stack = np.empty((min(m - 1, max(1, 2 ** 15 // x.size)),) + x.shape)
+        flat, product = stack.reshape(len(stack), -1), np.multiply(x, ratios[-1], out=x).ravel()
         for stop in range(m - 1, 0, -len(stack)):
             start = max(stop - len(stack), 0)
-            for i in range(stop - 1, start - 1, -1):
-                x = np.multiply(x, ratios[i], out=stack[i - start])
-                np.subtract(partial[i], x, out=x)
-            values = stack[:stop - start].reshape(stop - start, -1)
+            stack[:stop - start] = partial[start:stop]
+            for i, row in zip(range(stop - 1, start - 1, -1), flat[stop - start - 1::-1]):
+                np.subtract(row, product, out=row)
+                np.multiply(row, ratios[i - 1], out=product)  # the next row's; unused after row 0
+            values = flat[:stop - start]
             lower[start + 1:stop + 1], upper[start + 1:stop + 1] = values.min(1), values.max(1)
     if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
         raise SingularDiscretizationError("discretized system produced non-finite values")
@@ -142,15 +150,15 @@ class EnvelopeReport:
     oracle_lower: np.ndarray = field(repr=False)
     oracle_upper: np.ndarray = field(repr=False)
 
-    @property
+    @cached_property
     def lower_deviation(self) -> np.ndarray:
         return np.abs(self.formula_lower - self.oracle_lower)
 
-    @property
+    @cached_property
     def upper_deviation(self) -> np.ndarray:
         return np.abs(self.formula_upper - self.oracle_upper)
 
-    @property
+    @cached_property
     def max_deviation(self) -> float:
         return float(max(self.lower_deviation.max(), self.upper_deviation.max()))
 

@@ -222,23 +222,32 @@ def thomas(sub, diag, sup, rhs):
     return x
 
 
-def fd_solve_scalar(ode, left_value, right_value, grid):
-    sub, diag, sup, force = (c.tolist() for c in _interior_coefficients(ode, grid))
+def _solve_pair(coefficients, left_value, right_value):
+    sub, diag, sup, force = coefficients
     rhs = list(force)
     rhs[0] -= sub[0] * left_value
     rhs[-1] -= sup[-1] * right_value
     return np.array([left_value, *thomas(sub, diag, sup, rhs), right_value])
 
 
+def _scalar_coefficients(ode, grid):
+    return [c.tolist() for c in _interior_coefficients(ode, grid)]
+
+
+def fd_solve_scalar(ode, left_value, right_value, grid):
+    return _solve_pair(_scalar_coefficients(ode, grid), left_value, right_value)
+
+
 def envelope_scalar(problem, alpha, samples_per_axis, grid):
     """(lower, upper) for conditions at the two grid ends, in that order."""
     (_, left), (_, right) = problem.conditions
     left_cut, right_cut = left.alpha_cut(alpha), right.alpha_cut(alpha)
+    coefficients = _scalar_coefficients(problem.ode, grid)
     lower = np.full(grid.num_points, np.inf)
     upper = np.full(grid.num_points, -np.inf)
     for a in np.linspace(left_cut.lo, left_cut.hi, samples_per_axis):
         for b in np.linspace(right_cut.lo, right_cut.hi, samples_per_axis):
-            x = fd_solve_scalar(problem.ode, float(a), float(b), grid)
+            x = _solve_pair(coefficients, float(a), float(b))
             np.minimum(lower, x, out=lower)
             np.maximum(upper, x, out=upper)
     return lower, upper

@@ -181,6 +181,15 @@ class TestIntegrateIvp:
             _propagate(EX1_ODE, grid, np.eye(3))
         assert str(info.value) == f"integration blew up at node {node} (t = {node / 1000:g})"
 
+    def test_finite_states_whose_sum_overflows_pass(self):
+        # x = e^t reaches ~8e307 at t = 709, below the float range, but the
+        # states of 100 001 nodes sum past it
+        ode = LinearODE.from_strings(2, ["0", "-1"], "0")
+        traj = integrate_ivp(ode, [1.0, 1.0], TimeGrid(0.0, 709.0, 100001))
+        assert np.isfinite(traj.states).all()
+        with np.errstate(over="ignore"):
+            assert np.isinf(traj.states.sum())
+
     def test_only_the_state_rows_are_checked(self, monkeypatch):
         # for order 1 row 1 holds the slope, which the check leaves alone
         rows = np.ones((2, 2, 11))

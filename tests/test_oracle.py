@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -209,6 +210,37 @@ class TestExactness:
         assert np.array_equal(env.lower[0], lower)
         assert np.array_equal(env.upper[0], upper)
 
+    # The back sweep fills one block of rows (2**15 doubles, at least one row) at a time,
+    # h = 74 rows at 21 samples and 8192 at 2, over the m - 1 rows below the last node.
+    @pytest.mark.parametrize("samples, interior", [
+        (200, 3), (200, 199),  # one row per block
+        (21, 75), (21, 76), (21, 149),  # m - 1 = h, h + 1 and 2h
+        (2, 8194),  # two blocks, the last holding one row
+    ])
+    def test_block_edges_equal_scalar_loop(self, samples, interior):
+        problem = variable_problem()
+        grid = TimeGrid(problem.grid.t0, problem.grid.t_end, interior + 2)
+        env = envelope(problem, 0.3, samples, grid)
+        lower, upper = reference.envelope_scalar(problem, 0.3, samples, grid)
+        assert np.array_equal(env.lower[0], lower)
+        assert np.array_equal(env.upper[0], upper)
+
+    # tracemalloc peaks (bytes) of a second envelope call when each back-sweep
+    # row was a multiply and a 2-D broadcast subtract, with CPython 3.11 and
+    # numpy 2.4.6; the flat rows may add at most one row of samples**2 doubles
+    @pytest.mark.parametrize("samples, interior, before", [(21, 1999, 1162764),
+                                                           (200, 199, 1018336)])
+    def test_envelope_peak_memory(self, example1, samples, interior, before):
+        grid = TimeGrid(0.0, 1.0, interior + 2)
+        envelope(example1, 0.0, samples, grid)
+        tracemalloc.start()
+        try:
+            envelope(example1, 0.0, samples, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= before + samples * samples * 8
+
     @pytest.mark.parametrize("interior", [3, 199, 1999])
     @pytest.mark.parametrize("ode, t_end", [(EX1_ODE, 1.0), (EX2_ODE, 2.0), (VARIABLE_ODE, 1.5)])
     def test_fd_solve_equals_scalar_loop(self, ode, t_end, interior):
@@ -256,3 +288,8 @@ class TestCompare:
         assert doc["alpha"] == 0.0
         assert len(doc["t"]) == 101
         assert doc["max_deviation"] == report.max_deviation
+        # the deviations are computed once, on first access
+        assert doc["lower_deviation"] is report.lower_deviation
+        assert doc["upper_deviation"] is report.upper_deviation
+        assert np.array_equal(doc["lower_deviation"],
+                              np.abs(doc["formula_lower"] - doc["oracle_lower"]))
