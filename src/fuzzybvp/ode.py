@@ -4,22 +4,23 @@ A linear ODE of order n,
 
     x^(n) + a_1(t) x^(n-1) + ... + a_n(t) x = f(t),
 
-is integrated as a first-order companion system with classical fixed-step
-RK4, run on the block states through the companion structure (a shift plus
-one row) and carried across the blocks by a log-depth prefix product of
-their maps.  One scan from the augmented identity writes a fundamental
-basis (canonical initial states) and a particular solution (zero initial
-state) as node rows of one array, whose values and slopes (n+1, 2, N) a
-solve keeps.  The basis combination that meets the boundary values corrects
-the particular row into the crisp one in place, and the weight functions
-overwrite the basis rows: one solve of the transposed boundary system, by an
-elimination that divides by each pivot so that the weights meet the unit
-property exactly at on-grid boundary points.
+is integrated as a first-order companion system with classical fixed-step RK4
+in three stages: the block maps, RK4 on the block states through the companion
+structure (a shift plus one row); their carry across the blocks, a log-depth
+prefix product; and the node rows, one batched product.  One scan from the
+augmented identity writes a fundamental basis (canonical initial states) and a
+particular solution (zero initial state) as node rows of one array, whose
+values and slopes (n+1, 2, N) a solve keeps.  The basis combination that meets
+the boundary values corrects the particular row into the crisp one in place,
+and the weight functions overwrite the basis rows: one solve of the transposed
+boundary system, by an elimination that divides by each pivot so that the
+weights meet the unit property exactly at on-grid boundary points.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -60,8 +61,9 @@ class LinearODE:
     forcing: Expression
 
     def __post_init__(self):
-        if not isinstance(self.order, int) or self.order < 1:
+        if isinstance(self.order, bool) or not hasattr(self.order, "__index__") or self.order < 1:
             raise ValueError(f"order must be a positive integer, got {self.order}")
+        object.__setattr__(self, "order", operator.index(self.order))
         coeffs = tuple(self.coeffs)
         if len(coeffs) != self.order:
             raise ValueError(f"expected {self.order} coefficient expressions, got {len(coeffs)}")
@@ -90,6 +92,9 @@ class TimeGrid:
             raise ValueError(f"need t_end > t0, got [{self.t0}, {self.t_end}]")
         if not math.isfinite(self.t_end - self.t0):
             raise ValueError(f"length t_end - t0 must be finite, got [{self.t0}, {self.t_end}]")
+        if isinstance(self.num_points, bool) or not hasattr(self.num_points, "__index__"):
+            raise ValueError(f"the number of grid points must be an integer, got {self.num_points}")
+        object.__setattr__(self, "num_points", operator.index(self.num_points))
         if self.num_points < 2:
             raise ValueError(f"need at least 2 grid points, got {self.num_points}")
         spacing = np.spacing(float(max(abs(self.t0), abs(self.t_end))))
@@ -186,27 +191,24 @@ class Trajectory:
         return _hermite(self.grid, self.values, self.slopes, t)[()]
 
 
-def _rk4_scan(ode: LinearODE, grid: TimeGrid, initial: np.ndarray) -> np.ndarray:
-    """Node rows (c, max(n, 2), N) of z' = C(t) z from the columns of
-    ``initial`` (n+1, c), by RK4 run straight on the block states through
-    the companion structure: row k of column j is its x^(k), row 1 its x'.
+def _block_maps(ode: LinearODE, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray | None]:
+    """In-block states ``local`` (block, blocks, n, n+1) of z' = C(t) z on the
+    steps of ``grid`` cut into blocks, ``local[i, b]`` the map of block b's first
+    i+1 steps, and for n = 1 the node rows (2, blocks block + 1) of -a_1 and f.
 
     C(t) = [[A(t), f(t) e_n], [0, 0]] is a shift plus the row
     r(t) = (-a_n, ..., -a_1, f), so C X is the rows X[1:n] plus one new row
-    sum_j r_j X[j], with r_n added to the forcing column: no matmul.  The
-    steps are cut into blocks.  Every block takes RK4 steps of P' = C(t) P
-    from P = [I | 0], one in-block position at a time for all blocks at
-    once; P is the first n rows of the block's state matrix, whose augmented
-    row stays e_n and is never stored.  The states are kept position-major,
-    (block, blocks, n, n+1), so that each position's store is one contiguous
-    write rather than a scatter at the stride of a whole block, and the views
-    the steps read are built once, before the loop.  Block b starts from the
-    product of the maps of blocks 0..b-1, all taken by recursive doubling in
-    ceil(log2 blocks) batched products (Hillis and Steele, CACM 29, 1986),
-    and one batched product writes every node.  The coefficients and the
-    forcing are evaluated once on the half-step lattice t0 + h/2 k (t_end at
-    its end), where all stage times fall, laid out as (2 block + 1, n+1,
-    blocks): each stage row contiguous.
+    sum_j r_j X[j], with r_n added to the forcing column: no matmul.  Every
+    block takes RK4 steps of P' = C(t) P from P = [I | 0], one in-block
+    position at a time for all blocks at once; P is the first n rows of the
+    block's state matrix, whose augmented row stays e_n and is never stored.
+    The states are kept position-major, so that each position's store is one
+    contiguous write rather than a scatter at the stride of a whole block, and
+    the views the steps read are built once, before the loop.  The
+    coefficients and the forcing are evaluated once on the half-step lattice
+    t0 + h/2 k (t_end at its end), where all stage times fall, laid out as
+    (2 block + 1, n+1, blocks): each stage row contiguous.  The lattice is
+    freed on return, before the node rows are allocated.
     """
     n, m, steps, h = ode.order, ode.order + 1, grid.num_points - 1, grid.step
     # An in-block position costs about 20 numpy calls on arrays of all blocks,
@@ -254,16 +256,31 @@ def _rk4_scan(ode: LinearODE, grid: TimeGrid, initial: np.ndarray) -> np.ndarray
         total *= h / 6.0
         prod += total
         local[i] = prod.transpose(2, 0, 1)
-    # maps[b] becomes the product of the maps of blocks b-1, ..., 0 (maps[0] = I),
-    # whose augmented row e_n keeps a column without forcing free of it
-    maps = np.zeros((blocks, m, m))
-    maps[0], maps[1:, :n], maps[:, n, n] = np.eye(m), local[-1, :-1], 1.0
+    if n > 1:
+        return local, None
+    return local, np.concatenate([rows[:-1:2].transpose(1, 2, 0).reshape(m, -1), rows[-1, :, -1:]], 1)
+
+
+def _carry(local: np.ndarray) -> np.ndarray:
+    """Start maps (blocks, n+1, n+1) of the blocks of ``local``: map b is the product of
+    the end maps of blocks b-1, ..., 0 (map 0 is I; row n stays e_n, so a column without
+    forcing stays free of it), all taken by recursive doubling in ceil(log2 blocks)
+    batched products (Hillis and Steele, CACM 29, 1986)."""
+    blocks, n = local.shape[1:3]
+    maps = np.zeros((blocks, n + 1, n + 1))
+    maps[0], maps[1:, :n], maps[:, n, n] = np.eye(n + 1), local[-1, :-1], 1.0
     for s in (1 << k for k in range((blocks - 1).bit_length())):  # 1, 2, 4, ... < blocks
         maps[s:] = maps[s:] @ maps[:-s]
-    c, starts = initial.shape[1], maps @ initial
-    if n == 1:  # -a_1 and f at the nodes
-        nodes = np.concatenate([rows[:-1:2].transpose(1, 2, 0).reshape(m, -1), rows[-1, :, -1:]], 1)
-    del rows, coeffs, forces  # the lattice, before out is allocated
+    return maps
+
+
+def _node_rows(local: np.ndarray, starts: np.ndarray, initial: np.ndarray, steps: int,
+               nodes: np.ndarray | None) -> np.ndarray:
+    """Node rows (c, max(n, 2), steps + 1) from the columns of ``initial``
+    (n+1, c), by one batched product of the in-block states ``local`` with the
+    block starts ``starts`` (blocks, n+1, c); for n = 1, row 1 is the slope
+    from the node rows ``nodes`` of -a_1 and f (see ``_block_maps``)."""
+    (block, blocks, n), c = local.shape[:3], initial.shape[1]
     out = np.empty((c, max(n, 2), blocks * block + 1))
     # state row k of column j at node 1 + b block + i is (local[i, b] @ starts[b])[k, j]
     np.matmul(local.transpose(1, 2, 0, 3), starts[:, None],
@@ -272,6 +289,14 @@ def _rk4_scan(ode: LinearODE, grid: TimeGrid, initial: np.ndarray) -> np.ndarray
     if n == 1:  # x' = -a_1 x + z f, where the augmented component z stays constant
         out[:, 1] = nodes[0] * out[:, 0] + nodes[1] * initial[n][:, None]
     return out[:, :, :steps + 1]
+
+
+def _rk4_scan(ode: LinearODE, grid: TimeGrid, initial: np.ndarray) -> np.ndarray:
+    """Node rows (c, max(n, 2), N) of z' = C(t) z from the columns of ``initial``
+    (n+1, c) by RK4 (row k of column j is its x^(k), row 1 its x'): the block
+    maps of ``_block_maps``, carried across the blocks by ``_carry``, at the nodes."""
+    local, nodes = _block_maps(ode, grid)
+    return _node_rows(local, _carry(local) @ initial, initial, grid.num_points - 1, nodes)
 
 
 def _propagate(ode: LinearODE, grid: TimeGrid, initial: np.ndarray) -> np.ndarray:

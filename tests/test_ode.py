@@ -129,6 +129,32 @@ class TestTimeGrid:
             assert grid.nodes(start, stop).tobytes() == expected[start:stop].tobytes()
         assert grid.nodes(num_points - 1).tobytes() == expected[-1:].tobytes()
 
+    def test_numpy_integer_sizes_solve_to_the_bits_of_int(self):
+        # a numpy integer order or point count is stored as a Python int and
+        # solves as that int does
+        ode = LinearODE.from_strings(np.int64(2), ["-3", "2"], "4*t - 6")
+        grid = TimeGrid(0.0, 1.0, np.int64(1001))
+        assert type(ode.order) is int and type(grid.num_points) is int
+        assert ode == EX1_ODE and grid == TimeGrid(0.0, 1.0, 1001)
+        conds = ((0.0, TriangularFuzzyNumber(1.5, 2.0, 3.0)),
+                 (1.0, TriangularFuzzyNumber(2.0, 3.0, 4.0)))
+        got = solve_fuzzy_bvp(FuzzyBVP(ode, conds, grid)).columns
+        expected = solve_fuzzy_bvp(FuzzyBVP(EX1_ODE, conds, TimeGrid(0.0, 1.0, 1001))).columns
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("num_points", [2.5, 1001.0, True, np.float64(11.0), np.True_])
+    def test_non_integer_point_counts_are_refused(self, num_points):
+        with pytest.raises(ValueError) as info:
+            TimeGrid(0.0, 1.0, num_points)
+        assert str(info.value) == (f"the number of grid points must be an integer, "
+                                   f"got {num_points}")
+
+    @pytest.mark.parametrize("order", [2.5, 2.0, True, np.float64(2.0), np.True_])
+    def test_non_integer_orders_are_refused(self, order):
+        with pytest.raises(ValueError) as info:
+            LinearODE(order, (ZERO, ZERO), ZERO)
+        assert str(info.value) == f"order must be a positive integer, got {order}"
+
 
 class TestIntegrateIvp:
     def test_free_particle_is_exact(self):
@@ -334,6 +360,22 @@ class TestFusedScan:
         finally:
             tracemalloc.stop()
         assert peak <= 3.5 * states.nbytes
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_block_maps_free_their_lattice(self, order):
+        # the coefficient lattice is about the size of the node rows; it must
+        # be gone when the block maps return, before the node rows are allocated
+        ode = VARIABLE_ODES[order]
+        grid = TimeGrid(0.0, 2.0, 100001)
+        tracemalloc.start()
+        try:
+            local, nodes = ode_module._block_maps(ode, grid)
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = local.nbytes + (0 if nodes is None else nodes.nbytes)
+        assert (nodes is None) == (order > 1)
+        assert current <= 1.01 * kept
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
     def test_crisp_row_is_the_particular_plus_the_basis_combination(self, order):
