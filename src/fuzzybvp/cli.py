@@ -320,19 +320,14 @@ _KEEP = _keep_table(False)
 _JSON_KEEP = _keep_table(True)
 
 
-def _format_rows(cells: np.ndarray, first: str = "%.12g", as_json: bool = False) -> str:
-    """A 2-D float block as text: cells joined by "," and every row ended by
-    a newline. The first column is written with ``first`` ("%.12g" or
-    "%.17g"), the others with "%.12g": the same bytes as one ``%`` of the
+def _format_bytes(cells: np.ndarray, first: str = "%.12g", as_json: bool = False) -> bytes:
+    """A 2-D float block as ASCII bytes: cells joined by "," and every row
+    ended by a newline. The first column is written with ``first`` ("%.12g"
+    or "%.17g"), the others with "%.12g": the same bytes as one ``%`` of the
     row format over the cells. With ``as_json`` every cell is the JSON token
     ``json.dumps(float("%.12g" % x))`` instead: "3.0", "-0.0", "NaN", and
     the digits in full for exponents 12 to 15.
     """
-    return _format_bytes(cells, first, as_json).decode("ascii")
-
-
-def _format_bytes(cells: np.ndarray, first: str = "%.12g", as_json: bool = False) -> bytes:
-    """``_format_rows`` as ASCII bytes."""
     rows, cols = cells.shape
     step = max(1, _FORMAT_CELLS // cols)
     buf = np.empty((min(step, rows), cols, 32), np.uint8)
@@ -415,7 +410,7 @@ def _to_json(obj, indent: str = "") -> str:
     if isinstance(obj, np.ndarray):
         if not obj.size:
             return "[]"
-        text = _format_rows(obj.reshape(-1, 1), as_json=True)
+        text = _format_bytes(obj.reshape(-1, 1), as_json=True).decode("ascii")
         return f"[\n{inner}" + text[:-1].replace("\n", ",\n" + inner) + f"\n{indent}]"
     if isinstance(obj, dict):
         if not obj:
@@ -444,7 +439,7 @@ def _t_format(grid: TimeGrid) -> str:
     widest = max(abs(grid.t0), abs(grid.t_end))
     if grid.step > 10.0 ** (math.floor(math.log10(widest)) - 9):
         return "%.12g"
-    texts = _format_rows(grid.nodes()[:, None]).split()
+    texts = _format_bytes(grid.nodes()[:, None]).split()
     return "%.12g" if all(a != b for a, b in zip(texts, texts[1:])) else "%.17g"
 
 
@@ -543,6 +538,13 @@ _parse_mesh = _checked(int, "an integer", lambda value: value >= 3,
 def cmd_solve(args) -> int:
     problem, output = problem_from_document(_read_document(args.problem))
     alphas = args.alphas if args.alphas is not None else output.alphas
+    levels = alpha_levels(alphas)
+    for low, high in zip(levels, levels[1:]):  # rounding keeps the order: alike texts are adjacent
+        if _fmt(low) == _fmt(high):  # two levels the output could not tell apart
+            message = f"alpha levels {low!r} and {high!r} both print as {_fmt(low)}"
+            if args.alphas is None:
+                raise ProblemFormatError([f"output.alphas: {message}"])
+            raise ValueError(f"argument --alphas: {message}")
     points = args.points if args.points is not None else output.points
     try:
         out_grid = TimeGrid(problem.grid.t0, problem.grid.t_end, points)

@@ -476,27 +476,19 @@ def combine(particular: Trajectory, basis: Sequence[Trajectory],
 def _basis_and_crisp(ode: LinearODE, grid: TimeGrid, points: Sequence[float],
                      values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One scan's node rows (n+1, max(n, 2), N) (see ``_rk4_scan``): columns
-    0..n-1 the basis from e_1, ..., e_n, column n the particular solution from
-    the zero state, corrected in place by the basis combination that meets
-    ``values`` at ``points``; and the checked boundary matrix.  Raises NonUniqueCrispSolution
+    0..n-1 the basis b_j from e_1, ..., e_n, column n the particular solution p from
+    the zero state, plus in place the combination that meets ``values`` at ``points``,
+    p + c_1 b_1 + ... + c_n b_n summed left to right (within (n+1) eps (|p| + sum |c_j b_j|)
+    of the exact sum); and the checked boundary matrix.  Raises NonUniqueCrispSolution
     if it is singular, ValueError for a subnormal basis column or a non-finite crisp solution."""
     n = ode.order
     columns = _propagate(ode, grid, np.eye(n + 1))
     at_points = _at_points(grid, columns, points)
     require_invertible(at_points[:, :n], grid.t_end - grid.t0)
     coefficients = np.linalg.solve(at_points[:, :n], values - at_points[:, n])
-    # rounded as numpy's einsum and matmul round it, so that outputs keep their bits:
-    # even and odd terms summed apart (its two-lane dot) on every row but the
-    # slope's, which is a node-major gemv
     with np.errstate(over="ignore", invalid="ignore"):
-        columns[n, 1] += np.ascontiguousarray(columns[:n, 1].T) @ coefficients
-        for rows in (slice(0, 1), slice(2, None)):
-            lanes = [columns[j, rows] * coefficients[j] for j in range(min(n, 2))]
-            for j in range(2, n):
-                lanes[j % 2] += columns[j, rows] * coefficients[j]
-            if n > 1:
-                lanes[0] += lanes[1]
-            columns[n, rows] += lanes[0]
+        for j in range(n):
+            columns[n] += coefficients[j] * columns[j]
     if not np.isfinite(columns[n]).all():
         raise ValueError("trajectory contains non-finite entries")
     return columns, at_points[:, :n]

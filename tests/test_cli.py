@@ -20,7 +20,7 @@ from fuzzybvp.cli import (
     VERIFY_DEFAULT_SAMPLES,
     VERIFY_DEFAULT_TOLERANCE,
     ProblemFormatError,
-    _format_rows,
+    _format_bytes,
     _read_document,
     _t_format,
     _to_json,
@@ -217,6 +217,42 @@ class TestSolveCommand:
         assert run_cli(["solve", path]) == 0
         header = capsys.readouterr().out.split("\n", 1)[0]
         assert header == "t,lower_0,upper_0,lower_0.6,upper_0.6,lower_1,upper_1"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_file_levels_that_print_alike_are_refused(self, tmp_path, capsys, fmt):
+        # two levels with one %.12g text: the header and the JSON "alphas"
+        # could not tell them apart (the flag's case is in the flag messages)
+        doc = example_problem_document(1)
+        doc["output"]["alphas"] = [1, 0.30000000000000004, 0.3]
+        path, out = tmp_path / "problem.json", tmp_path / "band.out"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli(["solve", str(path), "--format", fmt, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "invalid problem file:",
+            "  output.alphas: alpha levels 0.3 and 0.30000000000000004 both print as 0.3"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["--alphas", "output.alphas"])
+    def test_equal_levels_collapse_to_one(self, tmp_path, capsys, source):
+        doc, argv = example_problem_document(1), []
+        if source == "--alphas":
+            argv = ["--alphas", "0.5,0.5,0.50"]
+        else:
+            doc["output"]["alphas"] = [0.5, 0.5, 0.50]
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli(["solve", str(path), "--points", "3", *argv]) == 0
+        assert capsys.readouterr().out.split("\n", 1)[0] == "t,lower_0.5,upper_0.5"
+        assert run_cli(["solve", str(path), "--points", "3", "--format", "json", *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["alphas"] == [0.5]
+
+    def test_levels_alike_only_in_the_unused_file_list_solve(self, tmp_path, capsys):
+        doc = example_problem_document(1)
+        doc["output"]["alphas"] = [0.3, 0.30000000000000004]
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli(["solve", str(path), "--points", "3", "--alphas", "0.3"]) == 0
+        assert capsys.readouterr().out.split("\n", 1)[0] == "t,lower_0.3,upper_0.3"
 
     def test_resonant_problem_exits_2(self, tmp_path, capsys):
         path = tmp_path / "resonant.json"
@@ -733,14 +769,15 @@ EDGE_CELLS = [*HALVES, *CARRIES, *POWERS_OF_TEN, 9.9999999999995e-5, 99999999999
 
 
 class TestFormatRows:
-    """``_format_rows`` writes the bytes of one ``%`` per cell."""
+    """``_format_bytes`` writes the bytes of one ``%`` per cell."""
 
     @pytest.mark.parametrize("first", ["%.12g", "%.17g"])
     @pytest.mark.parametrize("cols", [1, 7])
     def test_edge_cells_match_per_cell_reference(self, cols, first):
         cells = np.array(EDGE_CELLS + [-x for x in EDGE_CELLS])
         cells = np.resize(cells, (-(-len(cells) // cols), cols))
-        assert_same_text(_format_rows(cells, first), reference.rows_text(cells, first))
+        assert_same_text(_format_bytes(cells, first).decode("ascii"),
+                         reference.rows_text(cells, first))
 
 
 # Raw 64-bit patterns; in half of them the exponent field is moved to
@@ -759,7 +796,8 @@ block_cells = st.builds(
 def test_format_rows_matches_percent_over_the_block(cells, first):
     rows, cols = cells.shape
     row_fmt = ",".join([first] + ["%.12g"] * (cols - 1)) + "\n"
-    assert _format_rows(cells, first) == (row_fmt * rows) % tuple(cells.ravel().tolist())
+    text = (row_fmt * rows) % tuple(cells.ravel().tolist())
+    assert _format_bytes(cells, first).decode("ascii") == text
 
 
 @given(st.integers(min_value=0, max_value=2**64 - 1))
@@ -810,7 +848,8 @@ near_half_cells = st.builds(
 def test_near_half_cells_match_percent_and_json_module(cells, first):
     rows, cols = cells.shape
     row_fmt = ",".join([first] + ["%.12g"] * (cols - 1)) + "\n"
-    assert _format_rows(cells, first) == (row_fmt * rows) % tuple(cells.ravel().tolist())
+    text = (row_fmt * rows) % tuple(cells.ravel().tolist())
+    assert _format_bytes(cells, first).decode("ascii") == text
     series = cells.ravel()
     assert _to_json(series) == json.dumps([float(f"{x:.12g}") for x in series.tolist()],
                                           indent=2)
@@ -921,6 +960,8 @@ def test_unknown_built_in_example():
      "argument --alpha: alpha must lie in [0, 1]: '-0.5'"),
     (["verify", "{path}", "--alpha", "x"], "argument --alpha: not a number: 'x'"),
     (["verify", "{path}", "--mesh", "x"], "argument --mesh: not an integer: 'x'"),
+    (["solve", "{path}", "--alphas", "0,0.3,0.30000000000000004"],
+     "argument --alphas: alpha levels 0.3 and 0.30000000000000004 both print as 0.3"),
 ])
 def test_flag_validation_messages(tmp_path, capsys, monkeypatch, argv, message):
     def must_not_run(*args, **kwargs):

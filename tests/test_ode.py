@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -377,31 +378,36 @@ class TestFusedScan:
         assert (nodes is None) == (order > 1)
         assert current <= 1.01 * kept
 
-    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
-    def test_crisp_row_is_the_particular_plus_the_basis_combination(self, order):
-        # corrected in place on the node rows: the bits of the einsum over
-        # node-major states for orders 1 and 2, within 2 eps times the largest
-        # state for orders 3-5; the slope row is the same matmul in every order
-        ode = VARIABLE_ODES.get(order) or ORDER3_ODE
-        grid = TimeGrid(0.0, 2.0, 1001)
-        points = np.linspace(0.0, 2.0, order) if order > 1 else np.array([0.7])
-        values = np.arange(1.0, order + 1.0)
-        states, slopes = (np.ascontiguousarray(a) for a in propagate(ode, grid, np.eye(order + 1)))
-        if order > 1:
-            slopes = states[:, 1]
-        at_points = ode_module._hermite(grid, states[:, 0], slopes, points)
-        coefficients = np.linalg.solve(at_points[:, :order], values - at_points[:, order])
-        expected = states[:, :, order] + np.einsum("kij,j->ki", states[:, :, :order], coefficients)
-        expected_slope = slopes[:, order] + slopes[:, :order] @ coefficients
-        crisp = ode_module._basis_and_crisp(ode, grid, points, values)[0][order]
-        assert np.array_equal(crisp[1], expected_slope)
-        rows = [0, *range(2, order)]  # the state rows but x', which is the slope row
-        got, expected = crisp[rows].T, expected[:, rows]
-        if order <= 2:
-            assert np.array_equal(got, expected)
+    @pytest.mark.parametrize("case", [1, 2, 3, 4, 5, "stiff-k18"])
+    def test_crisp_row_is_the_particular_plus_the_basis_combination(self, case):
+        # the crisp row is p + c_1 b_1 + ... + c_n b_n summed left to right in
+        # every row and order: the bits of that sum in Python floats, and
+        # within (n + 1) eps (|p| + sum |c_j b_j|) of its exact value, the
+        # bound of a sequential dot product (Higham 2002, section 3.1)
+        if case == "stiff-k18":  # x'' = 18^2 x, points 0 and 1
+            order, ode = 2, LinearODE.from_strings(2, ["0", "-324"], "0")
+            grid, points = TimeGrid(0.0, 1.0, 1001), np.array([0.0, 1.0])
         else:
-            scale = np.abs(expected).max()
-            assert np.abs(got - expected).max() <= 2 * np.finfo(float).eps * scale
+            order, ode, grid = case, VARIABLE_ODES.get(case) or ORDER3_ODE, TimeGrid(0.0, 2.0, 1001)
+            points = np.linspace(0.0, 2.0, order) if order > 1 else np.array([0.7])
+        values = np.arange(1.0, order + 1.0)
+        rows = _propagate(ode, grid, np.eye(order + 1))  # before the correction
+        at_points = ode_module._hermite(grid, rows[:, 0].T, rows[:, 1].T, points)
+        coefficients = np.linalg.solve(at_points[:, :order], values - at_points[:, order]).tolist()
+        crisp = ode_module._basis_and_crisp(ode, grid, points, values)[0][order]
+        eps = Fraction(np.finfo(float).eps)
+        for row in range(rows.shape[1]):
+            for node in np.linspace(0, grid.num_points - 1, 11).astype(int).tolist():
+                column = rows[:, row, node].tolist()
+                p, basis = column[order], column[:order]
+                total = p
+                for c, b in zip(coefficients, basis):
+                    total += c * b
+                assert crisp[row, node] == total, (row, node)
+                terms = [Fraction(c) * Fraction(b) for c, b in zip(coefficients, basis)]
+                exact = Fraction(p) + sum(terms)
+                bound = (order + 1) * eps * (abs(Fraction(p)) + sum(map(abs, terms)))
+                assert abs(Fraction(float(crisp[row, node])) - exact) <= bound
         trajectory = solve_crisp_bvp(ode, list(zip(points, values)), grid)
         assert np.array_equal(trajectory.states, crisp[:order].T)
         assert np.array_equal(trajectory.slopes, crisp[1])
