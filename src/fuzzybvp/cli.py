@@ -280,15 +280,15 @@ _TRAILING_ZEROS = np.array([_PAIR_ZEROS] * 100, np.int8)
 _TRAILING_ZEROS[:, 0] = [2 + zeros for zeros in _PAIR_ZEROS]
 _TRAILING_ZEROS = _TRAILING_ZEROS.ravel()
 # A cell takes 32 bytes: the separator before it, "-", the first digit again
-# (kept only in exponent notation, so a stale one from an earlier pass is
-# never seen), "0.", "000", its 12 digits, then "." and digits 2 to 12 again,
-# whose first word an exponent cell overwrites with "e-XX".
+# (kept only in exponent notation, so a stale one from an earlier pass or the
+# 0 of _CELL is never seen), "0.", "000", its 12 digits, then "." and digits 2
+# to 12 again, whose first word an exponent cell overwrites with "e-XX".
 # _KEEP[276 * negative + 12 * (E + 11) + trailing zeros of m] marks the bytes
-# of its text. A cell left to "%" gets its format in place of its first
-# digits, and the last row keeps the separator and that format: the text of
-# a block is then a format string for its "%" cells. _JSON_KEEP differs in
-# two ways: an integer below 1e11 keeps "." and a "0" after it, and a cell
-# left to "%" has the format "%s".
+# of its text, all printable: a pass zeroes the others and deletes the NULs.
+# A cell left to "%" gets its format in place of its first digits, and the
+# last row keeps the separator and that format: the text of a block is then a
+# format string for its "%" cells. _JSON_KEEP differs in two ways: an integer
+# below 1e11 keeps "." and a "0" after it, and a cell left to "%" has "%s".
 _CELL = np.frombuffer(b",-\x000.000" + b"0" * 24, np.uint8)
 _BY_PERCENT = 552
 # cells per pass: enough to spread the numpy calls, few enough to keep its arrays small
@@ -385,7 +385,7 @@ def _format_pass(cells: np.ndarray, first: str, as_json: bool, buf: np.ndarray) 
         cell[by_percent, 8:8 + len(fill)] = np.frombuffer(fill, np.uint8)
         if first != "%.12g":
             cell[::cols, 8:13] = np.frombuffer(first.encode("ascii"), np.uint8)
-    text = np.compress(keep.ravel(), cell.ravel()).tobytes()
+    text = np.multiply(keep, cell, out=keep.view(np.uint8)).tobytes().translate(None, b"\0")
     if by_percent.size:
         slow_cells = x[by_percent].tolist()
         text %= tuple([json.dumps(float(_fmt(v))).encode("ascii") for v in slow_cells]

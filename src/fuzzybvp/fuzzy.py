@@ -48,7 +48,7 @@ def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    return alpha
+    return alpha + 0.0  # -0.0 is 0.0: a level has one name
 
 
 @dataclass(frozen=True)

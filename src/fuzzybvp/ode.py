@@ -133,13 +133,12 @@ def _hermite(grid: TimeGrid, values: np.ndarray, slopes: np.ndarray, t) -> np.nd
     t = np.asarray(t, dtype=float)
     # NaN carries through min and max; the elementwise test only names the first bad t
     if t.size and not (grid.contains(t.min()) and grid.contains(t.max())):
-        inside = grid.contains(t)
-        bad = float(t.ravel()[np.argmin(inside.ravel())])
+        bad = float(t.ravel()[np.argmin(grid.contains(t).ravel())])
         raise ValueError(f"t = {bad} outside the grid interval [{grid.t0}, {grid.t_end}]")
     h = grid.step
     # not (t - (t0 + i h)) / h: t0 + i h rounds to the float spacing at t0,
     # which can be a sizeable share of h on a short interval far from 0
-    q = (t - grid.t0) / h
+    q = (t.ravel() - grid.t0) / h
     # a time within rounding of a node is that node (0.7 on [0, 1] lies one
     # float spacing below 0.7000000000000001), so it takes the node's value
     # exactly instead of a two-node mix; q > -1 inside the interval, so
@@ -147,11 +146,22 @@ def _hermite(grid: TimeGrid, values: np.ndarray, slopes: np.ndarray, t) -> np.nd
     nearest = np.rint(q)
     q = np.where(np.abs(q - nearest) <= SNAP_TOL * np.maximum(q, 1.0), nearest, q)
     i = np.maximum(np.minimum(np.floor(q), grid.num_points - 2), 0).astype(np.intp)
-    s = (q - i).reshape(t.shape + (1,) * (values.ndim - 1))
+    s = q - i
     s2 = s * s
     s3, j = s2 * s, i + 1
-    return ((2.0 * s3 - 3.0 * s2 + 1.0) * values[i] + (s3 - 2.0 * s2 + s) * h * slopes[i]
-            + (-2.0 * s3 + 3.0 * s2) * values[j] + (s3 - s2) * h * slopes[j])
+
+    def term(rows, nodes, scale):  # row by row: one long gather and multiply per row
+        out = np.empty((len(rows), nodes.size))
+        for row, into in zip(rows, out):
+            np.multiply(row[nodes], scale, out=into)
+        return out
+    # the node axis last, as the callers' (c, 2, N) rows lie in memory; terms add in order
+    v, d = (a.reshape(grid.num_points, -1).T for a in (values, slopes))
+    out = term(v, i, 2.0 * s3 - 3.0 * s2 + 1.0)
+    out += term(d, i, (s3 - 2.0 * s2 + s) * h)
+    out += term(v, j, -2.0 * s3 + 3.0 * s2)
+    out += term(d, j, (s3 - s2) * h)
+    return out.T.reshape(t.shape + values.shape[1:])
 
 
 @dataclass(frozen=True)

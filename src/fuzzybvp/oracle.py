@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .ode import LinearODE, TimeGrid
-from .solver import FuzzyBVP, SolutionBand
+from .solver import FuzzyBVP, SolutionBand, alpha_levels
 
 
 class SingularDiscretizationError(Exception):
@@ -136,7 +136,7 @@ def envelope(problem: FuzzyBVP, alpha: float, samples_per_axis: int,
                 "so its samples would be non-finite values")
         samples.append(np.linspace(cut.lo, cut.hi, samples_per_axis))
     lower, upper = _thomas_envelope(*_interior_coefficients(problem.ode, grid), *samples)
-    return SolutionBand(grid, (float(alpha),), lower[None], upper[None])
+    return SolutionBand(grid, alpha_levels([alpha]), lower[None], upper[None])
 
 
 @dataclass(frozen=True)

@@ -156,6 +156,27 @@ def cuts_per_level(parts, columns, levels):
     return lower, upper
 
 
+# --- Hermite interpolation with the node axis first -----------------------
+# ``ode._hermite`` as it was when it gathered whole node rows (node axis
+# first) and broadcast the s-polynomials over them.  It reads its arrays node
+# axis last now, with the same float operations per entry, so the two must
+# agree bit for bit.
+
+
+def hermite_node_first(grid, values, slopes, t):
+    t = np.asarray(t, dtype=float)
+    h = grid.step
+    q = (t - grid.t0) / h
+    nearest = np.rint(q)
+    q = np.where(np.abs(q - nearest) <= ode_module.SNAP_TOL * np.maximum(q, 1.0), nearest, q)
+    i = np.maximum(np.minimum(np.floor(q), grid.num_points - 2), 0).astype(np.intp)
+    s = (q - i).reshape(t.shape + (1,) * (values.ndim - 1))
+    s2 = s * s
+    s3, j = s2 * s, i + 1
+    return ((2.0 * s3 - 3.0 * s2 + 1.0) * values[i] + (s3 - 2.0 * s2 + s) * h * slopes[i]
+            + (-2.0 * s3 + 3.0 * s2) * values[j] + (s3 - s2) * h * slopes[j])
+
+
 # --- Scalar finite-difference reference ----------------------------------
 # One plain-float Thomas solve per (left, right) pair, min/max accumulated
 # pair by pair.  The oracle's shared-factorization kernel must match it bit

@@ -254,6 +254,33 @@ class TestSolveCommand:
         assert run_cli(["solve", str(path), "--points", "3", "--alphas", "0.3"]) == 0
         assert capsys.readouterr().out.split("\n", 1)[0] == "t,lower_0.3,upper_0.3"
 
+    def test_negative_zero_level_is_named_zero_in_csv(self, tmp_path, capsys):
+        path = write_example(tmp_path, 1)
+        assert run_cli(["solve", path, "--points", "3", "--alphas=-0,1"]) == 0
+        csv = capsys.readouterr().out
+        assert csv.split("\n", 1)[0] == "t,lower_0,upper_0,lower_1,upper_1"
+        assert run_cli(["solve", path, "--points", "3", "--alphas=0,1"]) == 0
+        assert capsys.readouterr().out == csv
+
+    def test_negative_zero_level_is_zero_in_json(self, tmp_path, capsys):
+        path = write_example(tmp_path, 1)
+        assert run_cli(["solve", path, "--points", "3", "--alphas=-0,1", "--format", "json"]) == 0
+        text = capsys.readouterr().out
+        assert "-0.0" not in text
+        assert json.loads(text)["alphas"] == [0.0, 1.0]
+        assert run_cli(["solve", path, "--points", "3", "--alphas=0,1", "--format", "json"]) == 0
+        assert capsys.readouterr().out == text
+
+    @pytest.mark.parametrize("alphas", ["--alphas=0,-0", "--alphas=-0,0"])
+    def test_zero_of_either_sign_is_one_level(self, tmp_path, capsys, alphas):
+        # 0 and -0 are one level, named 0, in either order
+        path = write_example(tmp_path, 1)
+        assert run_cli(["solve", path, "--points", "3", alphas]) == 0
+        csv = capsys.readouterr().out
+        assert run_cli(["solve", path, "--points", "3", "--alphas=0"]) == 0
+        assert capsys.readouterr().out == csv
+        assert csv.split("\n", 1)[0] == "t,lower_0,upper_0"
+
     def test_resonant_problem_exits_2(self, tmp_path, capsys):
         path = tmp_path / "resonant.json"
         path.write_text(json.dumps(RESONANT), encoding="utf-8")
@@ -428,6 +455,14 @@ class TestVerifyCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["alpha"] == 0.6
         assert doc["passed"] is True
+
+    def test_negative_zero_alpha_is_reported_as_zero(self, tmp_path, capsys):
+        path = write_example(tmp_path, 1)
+        assert run_cli(["verify", path, "--alpha=-0", "--mesh", "99"]) == 0
+        text = capsys.readouterr().out
+        assert '"alpha": 0.0,' in text and "-0.0" not in text
+        assert run_cli(["verify", path, "--alpha=0", "--mesh", "99"]) == 0
+        assert capsys.readouterr().out == text
 
     def test_impossible_tolerance_exits_3(self, tmp_path, capsys):
         path = write_example(tmp_path, 1)
@@ -778,6 +813,42 @@ class TestFormatRows:
         cells = np.resize(cells, (-(-len(cells) // cols), cols))
         assert_same_text(_format_bytes(cells, first).decode("ascii"),
                          reference.rows_text(cells, first))
+
+    # one cell per digit-arithmetic row of the keep tables: each sign, decimal
+    # exponent -11..11 and count 0..11 of trailing zeros in the 12 digits
+    EVERY_ROW = [(-1.0) ** negative * float(f"1{'2' * (11 - zeros)}{'0' * zeros}e{exp - 11}")
+                 for negative in (0, 1) for exp in range(-11, 12) for zeros in range(12)]
+
+    @staticmethod
+    def recording(table, rows):
+        """``table`` with a ``take`` that adds the rows it reads to ``rows``."""
+        class Recording(np.ndarray):
+            def take(self, indices, *args, **kwargs):
+                rows.update(np.ravel(indices).tolist())
+                return table.take(indices, *args, **kwargs)
+        return table.view(Recording)
+
+    @pytest.mark.parametrize("first", ["%.12g", "%.17g"])
+    def test_every_keep_row_matches_percent_and_json_module(self, monkeypatch, first):
+        # a pass keeps the marked bytes by deleting the NULs of bytes times
+        # mask, so no kept byte may be 0: the text of every row, and of a "%"
+        # cell, equals "%" for CSV and json.dumps for JSON; both columns read
+        # every row, the second also where the first is left to "%" (%.17g)
+        cli = fuzzybvp.cli
+        cells = np.array(self.EVERY_ROW + [0.0, -0.0, float("nan"), 1e15])
+        cells = np.column_stack([cells[::-1], cells])
+        csv_rows, json_rows = set(), set()
+        monkeypatch.setattr(cli, "_KEEP", self.recording(cli._KEEP, csv_rows))
+        monkeypatch.setattr(cli, "_JSON_KEEP", self.recording(cli._JSON_KEEP, json_rows))
+        text = ((first + ",%.12g\n") * len(cells)) % tuple(cells.ravel().tolist())
+        assert _format_bytes(cells, first).decode("ascii") == text
+        assert csv_rows == set(range(len(cli._KEEP)))
+        series = cells[:, 1]
+        assert _to_json(series) == json.dumps([float(f"{x:.12g}") for x in series.tolist()],
+                                              indent=2)
+        # a 12-digit integer (E = 11) is left to json.dumps, for its ".0"
+        unused = {276 * negative + 12 * 22 + zeros for negative in (0, 1) for zeros in range(12)}
+        assert json_rows == set(range(len(cli._JSON_KEEP))) - unused
 
 
 # Raw 64-bit patterns; in half of them the exponent field is moved to

@@ -157,6 +157,83 @@ class TestTimeGrid:
         assert str(info.value) == f"order must be a positive integer, got {order}"
 
 
+def bits(array):
+    return np.shape(array), np.asarray(array).tobytes()
+
+
+class TestHermite:
+    """``_hermite`` reads its arrays with the node axis last; every entry is
+    the float arithmetic of the node-first formula it replaced
+    (``reference.hermite_node_first``), so the bits are the same."""
+
+    GRID = TimeGrid(0.3, 1.7, 11)
+
+    @classmethod
+    def times(cls):
+        # nodes (t0 and t_end among them), times within SNAP_TOL of a node,
+        # times just past SNAP_TOL and times between nodes
+        grid = cls.GRID
+        nodes = grid.nodes()
+        up, down = np.nextafter(nodes, np.inf), np.nextafter(nodes, -np.inf)
+        near = np.concatenate([up, np.nextafter(up, np.inf), down[1:], down[1:] - 1e-13])
+        between = np.concatenate([nodes[:-1] + 0.5 * grid.step,
+                                  np.random.default_rng(3).uniform(grid.t0, grid.t_end, 19)])
+        return np.clip(np.concatenate([nodes, near, nodes[:-1] + 1e-13, between]),
+                       grid.t0, grid.t_end)
+
+    @classmethod
+    def arrays(cls):
+        # 1-D values, and (N, c) values for c = 1..6, both as transposed views
+        # of contiguous (c, 2, N) rows (the callers' layout) and contiguous;
+        # some zeros of either sign
+        rng = np.random.default_rng(7)
+        n = cls.GRID.num_points
+        columns = rng.standard_normal((6, 2, n))
+        columns[:, :, ::4] = 0.0
+        columns[:, :, 1::5] = -0.0
+        yield columns[0, 0], columns[0, 1]
+        yield np.ascontiguousarray(columns[:3, 0].T)[:, 1], columns[3, 1]  # a strided column
+        for c in range(1, 7):
+            values, slopes = columns[:c].transpose(1, 2, 0)
+            yield values, slopes
+            yield np.ascontiguousarray(values), np.ascontiguousarray(slopes)
+
+    @pytest.mark.parametrize("form", ["scalar", "1-D", "2-D"])
+    def test_bits_of_the_node_first_formula(self, form):
+        grid, times = self.GRID, self.times()
+        assert times.size % 4 == 0
+        if form == "scalar":
+            cases = [float(t) for t in times]
+        else:
+            cases = [times if form == "1-D" else times.reshape(4, -1)]
+        for values, slopes in self.arrays():
+            for t in cases:
+                got = ode_module._hermite(grid, values, slopes, t)
+                want = reference.hermite_node_first(grid, values, slopes, t)
+                assert bits(got) == bits(want)
+
+    def test_the_callers_shapes_and_bits(self):
+        solution = reference.solved_example1()
+        grid, crisp, weights = solution.grid, solution.crisp, solution.weight_basis
+        t = np.array([[0.0, 0.137, 0.5], [0.731, 0.999, 1.0]])
+        value = crisp.value(0.137)
+        assert type(value) is np.float64
+        assert value == reference.hermite_node_first(grid, crisp.values, crisp.slopes, 0.137)
+        for times in (t, t[0]):
+            assert bits(crisp.value(times)) == bits(
+                reference.hermite_node_first(grid, crisp.values, crisp.slopes, times))
+            assert bits(weights.weight_at(times)) == bits(reference.hermite_node_first(
+                grid, weights.weights, weights.weight_slopes, times))
+        assert weights.weight_at(0.137).shape == (2,)
+        assert weights.weight_at(t).shape == (2, 3, 2)
+        cut = solution.value_at(0.137, 0.5)
+        assert type(cut.lo) is float and type(cut.hi) is float and cut.lo <= cut.hi
+        at = ode_module._at_points(grid, solution.columns, [0.0, 0.137, 1.0])
+        assert bits(at) == bits(reference.hermite_node_first(
+            grid, *solution.columns.transpose(1, 2, 0), np.array([0.0, 0.137, 1.0])))
+        assert at.shape == (3, 3)
+
+
 class TestIntegrateIvp:
     def test_free_particle_is_exact(self):
         # RK4 reproduces polynomials of degree <= 3 exactly
