@@ -4,24 +4,26 @@
     python scripts/compare_trees.py OLD NEW
 
 Each tree runs in a fresh interpreter with PYTHONPATH=<tree>/src.  The
-solves are examples 1 and 2, the order-4 four-point problem and the stiff
-x'' = k^2 x for k = 10 and 18, all on 1 001 nodes, and example 1 on 100 001
+solves are examples 1 and 2, the order-4 four-point problem, the stiff
+x'' = k^2 x for k = 10 and 18 and a forced third-order problem with constant
+coefficients, all on 1 001 nodes; x'' = 23^2 x with points 0 and 0.7003 on
+2 001 nodes, the unit-property check's edge case; and example 1 on 100 001
 nodes.  For each solve the trees give the solution's columns (values and
 slopes of the weights and the crisp solution), a 3-level band on the grid and
-a 3-level band on 2 001 points, off the grid's nodes except on the 100 001-node
-grid.  One line per array gives max |new - old| / (eps * max |old|): 0 when
-every bit is the same.  The exit status is 0 when both trees ran, whatever
-the differences, and 1 when one of them failed.
+a 3-level band on 2 001 points, off the grid's nodes except on the 2 001- and
+100 001-node grids.  One line per array gives max |new - old| / (eps * max |old|):
+0 when every bit is the same.  The exit status is 0 when both trees ran,
+whatever the differences, and 1 when one of them failed.
 
 A large figure need not be a large move.  The crisp column is the sum
 p + c_1 b_1 + ... + c_n b_n of the particular solution and the weighted
 basis, and its rounding scales with max(|p| + sum |c_j b_j|), not with
-max |crisp|.  Their ratio, the amplification A, is 19 for example 1, 2.1
-for the order-4 problem, 1.1e4 for k = 10 and 3.3e7 for k = 18, where
-growing basis solutions nearly cancel.  So a crisp move of 0.11 eps of that
-sum reads 3.7e6 on stiff-k18/columns: divide a row's figure by A to read it
-in eps of the terms, where a sum of n + 1 terms may move by up to about
-(n + 1) eps.
+max |crisp|.  Their ratio, the amplification A, is 19 for example 1, 8.4
+for example 2, 8.5 for the order-4 problem, 5.4 for the third-order one,
+1.1e4 for k = 10, 3.3e7 for k = 18 and 4.9e6 for k = 23, where growing basis
+solutions nearly cancel.  So a crisp move of 0.11 eps of that sum reads
+3.7e6 on stiff-k18/columns: divide a row's figure by A to read it in eps of
+the terms, where a sum of n + 1 terms may move by up to about (n + 1) eps.
 """
 
 import io
@@ -56,6 +58,10 @@ def _problems():
             "order4": problem(4, *order4),
             "stiff-k10": problem(2, ("0", "-100"), "0", 1.0, stiff),
             "stiff-k18": problem(2, ("0", "-324"), "0", 1.0, stiff),
+            "stiff-k23": problem(2, ("0", "-529"), "0", 1.0,
+                                 ((0.0, (0.5, 1, 1.5)), (0.7003, (1.5, 2, 2.5))), num_points=2001),
+            "order3": problem(3, ("2", "-1", "0.5"), "sin(2*t) + t", 2.0,
+                              ((0.0, (0.5, 1, 1.5)), (1.0, (-0.4, 0, 0.6)), (2.0, (1.5, 2, 2.2)))),
             "ex1-100001": problem(2, *ex1, num_points=100001)}
 
 

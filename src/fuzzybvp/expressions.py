@@ -163,6 +163,12 @@ class FunctionCall(Expression):
         return f"{self.name}({self.arg.to_text()})"
 
 
+def is_constant(node: Expression) -> bool:
+    """Whether the tree has no ``t``, so that its value is the same at every time."""
+    return not isinstance(node, TimeVar) and all(
+        is_constant(child) for child in vars(node).values() if isinstance(child, Expression))
+
+
 class _Token(NamedTuple):
     kind: str  # "number" | "name" | one of "+-*/^()" | "end"
     text: str

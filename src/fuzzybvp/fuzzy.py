@@ -9,6 +9,7 @@ rejected at construction.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import Union
@@ -29,7 +30,7 @@ class Interval:
     def __post_init__(self):
         object.__setattr__(self, "lo", float(self.lo))
         object.__setattr__(self, "hi", float(self.hi))
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ValueError(f"interval endpoints must be finite, got [{self.lo}, {self.hi}]")
         if self.lo > self.hi:
             raise ValueError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
@@ -62,7 +63,8 @@ class TriangularFuzzyNumber:
     def __post_init__(self):
         for name in ("left", "peak", "right"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if not (np.isfinite(self.left) and np.isfinite(self.peak) and np.isfinite(self.right)):
+        if not (math.isfinite(self.left) and math.isfinite(self.peak)
+                and math.isfinite(self.right)):
             raise ValueError("triangular fuzzy number requires finite left, peak, right")
         if not self.left <= self.peak <= self.right:
             raise ValueError(

@@ -7,7 +7,7 @@ A linear ODE of order n,
 is integrated as a first-order companion system with classical fixed-step RK4
 in three stages: the block maps, RK4 on the block states through the companion
 structure (a shift plus one row); their carry across the blocks, a log-depth
-prefix product; and the node rows, one batched product.  One scan from the
+prefix product; and the node rows, batched products.  One scan from the
 augmented identity writes a fundamental basis (canonical initial states) and a
 particular solution (zero initial state) as node rows of one array, whose
 values and slopes (n+1, 2, N) a solve keeps.  The basis combination that meets
@@ -15,6 +15,16 @@ the boundary values corrects the particular row into the crisp one in place,
 and the weight functions overwrite the basis rows: one solve of the transposed
 boundary system, by an elimination that divides by each pivot so that the
 weights meet the unit property exactly at on-grid boundary points.
+
+When no coefficient depends on t, as in both examples of the paper, the
+homogeneous block maps are the same in every block.  They are then taken on
+one block, by the same stage arithmetic, so that the basis and the weights keep
+their bits, and only the forcing column differs between blocks: it steps in the
+increment form x <- x + (E x + g_j) of RK4 for constant A, E = R(hA) - I, with f
+evaluated once on the half-step times.  The homogeneous columns keep the stage
+arithmetic on purpose: in increment form too, the unit-property miss of the
+weights of x'' = 23^2 x with points 0 and 0.7003 on 2 001 nodes grows from
+4.9e-10 to 1.1e-9, past KRONECKER_TOL.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .expressions import ZERO, Expression
+from .expressions import ZERO, Expression, is_constant
 
 DEFAULT_STEPS = 1000
 SINGULARITY_RTOL = 1e-12
@@ -201,31 +211,83 @@ class Trajectory:
         return _hermite(self.grid, self.values, self.slopes, t)[()]
 
 
-def _block_maps(ode: LinearODE, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray | None]:
-    """In-block states ``local`` (block, blocks, n, n+1) of z' = C(t) z on the
-    steps of ``grid`` cut into blocks, ``local[i, b]`` the map of block b's first
-    i+1 steps, and for n = 1 the node rows (2, blocks block + 1) of -a_1 and f.
+# Coefficients of the powers (hA)^0, ..., (hA)^4 in E = R(hA) - I and in
+# 6/h u = (I + hA + (hA)^2/2 + (hA)^3/4) e_n and 6/h v = (4I + 2hA + (hA)^2/2) e_n
+# (see ``_constant_maps``)
+_RK4_POLYNOMIALS = np.array([[0, 1, 1 / 2, 1 / 6, 1 / 24], [1, 1, 1 / 2, 1 / 4, 0],
+                             [4, 2, 1 / 2, 0, 0]])
 
-    C(t) = [[A(t), f(t) e_n], [0, 0]] is a shift plus the row
-    r(t) = (-a_n, ..., -a_1, f), so C X is the rows X[1:n] plus one new row
-    sum_j r_j X[j], with r_n added to the forcing column: no matmul.  Every
-    block takes RK4 steps of P' = C(t) P from P = [I | 0], one in-block
-    position at a time for all blocks at once; P is the first n rows of the
-    block's state matrix, whose augmented row stays e_n and is never stored.
-    The states are kept position-major, so that each position's store is one
-    contiguous write rather than a scatter at the stride of a whole block, and
-    the views the steps read are built once, before the loop.  The
-    coefficients and the forcing are evaluated once on the half-step lattice
-    t0 + h/2 k (t_end at its end), where all stage times fall, laid out as
-    (2 block + 1, n+1, blocks): each stage row contiguous.  The lattice is
-    freed on return, before the node rows are allocated.
-    """
-    n, m, steps, h = ode.order, ode.order + 1, grid.num_points - 1, grid.step
+
+def _blocking(steps: int) -> tuple[int, int]:
+    """Steps per block and number of blocks of a scan over ``steps`` steps."""
     # An in-block position costs about 20 numpy calls on arrays of all blocks,
     # a block one small matmul in each of the carry's log2(blocks) products;
     # blocks of sqrt(steps / 16) steps balance the two (within 10% from /32 to /8).
     block = max(1, math.isqrt(steps // 16))
-    blocks = -(-steps // block)
+    return block, -(-steps // block)
+
+
+def _stage_maps(coeffs: Sequence[np.ndarray], forces: Sequence[np.ndarray] | None,
+                h: float) -> np.ndarray:
+    """In-block states ``local`` (block, blocks, n, n+1) of z' = C(t) z, ``local[i, b]``
+    the map of block b's first i+1 steps of size h, from the rows
+    r(t) = (-a_n, ..., -a_1, f) of C on the half-step lattice of the blocks:
+    ``coeffs`` 2 block + 1 arrays (n, blocks), ``forces`` as many (blocks,), or
+    None for no forcing.
+
+    C(t) = [[A(t), f(t) e_n], [0, 0]] is a shift plus the row r(t), so C X is the
+    rows X[1:n] plus one new row sum_j r_j X[j], with r_n added to the forcing
+    column: no matmul.  Every block takes RK4 steps of P' = C(t) P from
+    P = [I | 0], one in-block position at a time for all blocks at once; P is the
+    first n rows of the block's state matrix, whose augmented row stays e_n and is
+    never stored.  The states are kept position-major, so that each position's
+    store is one contiguous write rather than a scatter at the stride of a whole
+    block, and the views the steps read are built once, before the loop.
+    """
+    (n, blocks), block = coeffs[0].shape, len(coeffs) // 2
+    m = n + 1
+    # z[:n] holds a stage argument Y and z[n] the new row of C Y, so the
+    # stage slope C Y is the view z[1:]; z1[:n] is the in-block state P
+    z1, z2, z3, z4 = (np.empty((m, m, blocks)) for _ in range(4))
+    prod, total = z1[:n], np.empty((n, m, blocks))
+    prod[:] = np.eye(n, m)[:, :, None]
+    local = np.empty((block, blocks, n, m))  # in-block states, position-major
+    # every view the loop reads, built once: per stage its argument, new row,
+    # forcing entry, slope and the next stage's argument
+    stages = [(z[:n], z[n], z[n, n], z[1:], None if nxt is None else nxt[:n], a, row)
+              for z, nxt, a, row in ((z1, z2, 0.5 * h, 0), (z2, z3, 0.5 * h, 1),
+                                     (z3, z4, h, 1), (z4, None, 0.0, 2))]
+    slope1, slope2, slope3, slope4 = (stage[3] for stage in stages)
+    for i in range(block):
+        for arg, new, forcing, slope, nxt, a, row in stages:  # lattice row 2 i + row
+            np.einsum("jb,jkb->kb", coeffs[2 * i + row], arg, out=new)
+            if forces is not None:
+                forcing += forces[2 * i + row]
+            if nxt is not None:
+                np.multiply(slope, a, out=nxt)
+                nxt += prod
+        np.add(slope2, slope3, out=total)
+        total *= 2.0
+        total += slope1
+        total += slope4
+        total *= h / 6.0
+        prod += total
+        local[i] = prod.transpose(2, 0, 1)
+    return local
+
+
+def _block_maps(ode: LinearODE, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray | None]:
+    """In-block states ``local`` (block, blocks, n, n+1) of ``_stage_maps`` on the
+    steps of ``grid`` cut into blocks (``_blocking``), and for n = 1 the node rows
+    (2, N) of -a_1 and f.
+
+    The coefficients and the forcing are evaluated once on the half-step lattice
+    t0 + h/2 k (t_end at its end), where all stage times fall, laid out as
+    (2 block + 1, n+1, blocks): each stage row contiguous.  The lattice is freed
+    on return, before the node rows are allocated.
+    """
+    n, m, steps, h = ode.order, ode.order + 1, grid.num_points - 1, grid.step
+    block, blocks = _blocking(steps)
     # one column per block, evaluated through the transpose, whose order is
     # time order, so that an EvaluationError names the earliest offending time
     times = np.arange(2 * block + 1.0)[:, None] + np.arange(0.0, 2 * steps, 2 * block)
@@ -238,75 +300,131 @@ def _block_maps(ode: LinearODE, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray 
         np.negative(coeff.evaluate(times.T).T, out=rows[:, j])
     rows[:, n] = ode.forcing.evaluate(times.T).T
     del times
-    # z[:n] holds a stage argument Y and z[n] the new row of C Y, so the
-    # stage slope C Y is the view z[1:]; z1[:n] is the in-block state P
-    z1, z2, z3, z4 = (np.empty((m, m, blocks)) for _ in range(4))
-    prod, total = z1[:n], np.empty((n, m, blocks))
-    prod[:] = np.eye(n, m)[:, :, None]
-    local = np.empty((block, blocks, n, m))  # in-block states, position-major
-    # every view the loop reads, built once: per stage its argument, new row,
-    # forcing entry, slope and the next stage's argument; per lattice row its
-    # coefficients and its forcing
-    coeffs, forces = list(rows[:, :n]), list(rows[:, n])
-    stages = [(z[:n], z[n], z[n, n], z[1:], None if nxt is None else nxt[:n], a, row)
-              for z, nxt, a, row in ((z1, z2, 0.5 * h, 0), (z2, z3, 0.5 * h, 1),
-                                     (z3, z4, h, 1), (z4, None, 0.0, 2))]
-    slope1, slope2, slope3, slope4 = (stage[3] for stage in stages)
-    for i in range(block):
-        for arg, new, forcing, slope, nxt, a, row in stages:  # lattice row 2 i + row
-            np.einsum("jb,jkb->kb", coeffs[2 * i + row], arg, out=new)
-            forcing += forces[2 * i + row]
-            if nxt is not None:
-                np.multiply(slope, a, out=nxt)
-                nxt += prod
-        np.add(slope2, slope3, out=total)
-        total *= 2.0
-        total += slope1
-        total += slope4
-        total *= h / 6.0
-        prod += total
-        local[i] = prod.transpose(2, 0, 1)
+    local = _stage_maps(list(rows[:, :n]), list(rows[:, n]), h)
     if n > 1:
         return local, None
-    return local, np.concatenate([rows[:-1:2].transpose(1, 2, 0).reshape(m, -1), rows[-1, :, -1:]], 1)
+    nodes = np.concatenate([rows[:-1:2].transpose(1, 2, 0).reshape(m, -1), rows[-1, :, -1:]], 1)
+    return local, nodes[:, :steps + 1]
 
 
-def _carry(local: np.ndarray) -> np.ndarray:
-    """Start maps (blocks, n+1, n+1) of the blocks of ``local``: map b is the product of
-    the end maps of blocks b-1, ..., 0 (map 0 is I; row n stays e_n, so a column without
-    forcing stays free of it), all taken by recursive doubling in ceil(log2 blocks)
-    batched products (Hillis and Steele, CACM 29, 1986)."""
-    blocks, n = local.shape[1:3]
+def _constant_maps(ode: LinearODE, grid: TimeGrid) -> tuple:
+    """The block maps of an equation whose coefficients do not depend on t, on the
+    blocks of ``_blocking``: the homogeneous in-block maps ``maps`` (block, n, n),
+    ``maps[i]`` the map of i+1 steps, the same in every block; the forcing columns
+    ``forced`` (n, N - 1), column j the state after step j + 1 from the zero state
+    at the start of its block; the end maps [maps[-1] | forcing column] of every
+    block but the last, (blocks - 1, n, n+1); and for n = 1 the node rows of -a_1
+    and f.
+
+    The maps are ``_stage_maps`` on one block, so that the basis keeps the stage
+    arithmetic bit for bit.  For constant A, classical RK4 is x <- x + (E x + g_j)
+    with E = R(hA) - I for its stability function R(z) = 1 + z + z^2/2 + z^3/6
+    + z^4/24 (Hairer and Wanner, Solving ODEs II, IV.2) and
+    g_j = u f(t_j) + v f(t_j + h/2) + w f(t_j + h), where
+    u = h/6 (I + hA + (hA)^2/2 + (hA)^3/4) e_n, v = h/6 (4I + 2hA + (hA)^2/2) e_n
+    and w = h/6 e_n.  The forcing columns take these steps, in this increment form,
+    one in-block position at a time for all blocks at once: E x is small next to
+    x, so its rounding is too.  f is evaluated once, in time order, on the
+    half-step lattice t0 + h/2 k (t_end from the last node on).
+    """
+    n, steps, h = ode.order, grid.num_points - 1, grid.step
+    block, blocks = _blocking(steps)
+    row = np.array([-coeff.evaluate(grid.t0) for coeff in reversed(ode.coeffs)])
+    maps = _stage_maps([row[:, None]] * (2 * block + 1), None, h)[:, 0, :, :n]
+    powers = np.empty((5, n, n))  # (hA)^0, ..., (hA)^4 for the companion matrix A
+    powers[0], powers[1] = np.eye(n), h * np.eye(n, k=1)
+    powers[1, -1] = h * row
+    for k in (2, 3, 4):
+        np.matmul(powers[k - 1], powers[1], out=powers[k])
+    e = (_RK4_POLYNOMIALS[0] @ powers.reshape(5, -1)).reshape(n, n)
+    uv = (_RK4_POLYNOMIALS[1:] @ powers[:, :, -1]).T * (h / 6)  # the columns u and v
+    times = np.arange(2.0 * blocks * block + 1)
+    times *= 0.5 * h
+    times += grid.t0
+    times[2 * steps:] = grid.t_end
+    f = ode.forcing.evaluate(times)
+    del times
+    # g_j, position-major: u f(t_j) + v f(t_j + h/2) from the pairs of f, then w f(t_j + h)
+    pairs = f[:-1].reshape(blocks, block, 2).transpose(1, 2, 0)
+    forced = np.matmul(uv, pairs)
+    forced[:, -1] += f[2::2].reshape(blocks, block).T * (h / 6)
+    step = np.empty((n, blocks))
+    for prev, cur in zip(forced, forced[1:]):
+        np.dot(e, prev, out=step)
+        cur += step
+        cur += prev
+    ends = np.empty((blocks - 1, n, n + 1))
+    ends[:, :, :n] = maps[-1]
+    ends[:, :, n] = forced[-1, :, :-1].T
+    forced = forced.transpose(1, 2, 0).reshape(n, -1)[:, :steps]  # node order, a copy
+    return maps, forced, ends, (None if n > 1 else (row[0], f[:2 * steps + 1:2]))
+
+
+def _carry(ends: np.ndarray) -> np.ndarray:
+    """Start maps (blocks, n+1, n+1) of the blocks whose end maps, but the last's, are
+    ``ends`` (blocks - 1, n, n+1): map b is the product of the end maps of blocks
+    b-1, ..., 0 (map 0 is I; row n stays e_n, so a column without forcing stays free
+    of it), all taken by recursive doubling in ceil(log2 blocks) batched products
+    (Hillis and Steele, CACM 29, 1986)."""
+    blocks, n = len(ends) + 1, ends.shape[1]
     maps = np.zeros((blocks, n + 1, n + 1))
-    maps[0], maps[1:, :n], maps[:, n, n] = np.eye(n + 1), local[-1, :-1], 1.0
+    maps[0], maps[1:, :n], maps[:, n, n] = np.eye(n + 1), ends, 1.0
     for s in (1 << k for k in range((blocks - 1).bit_length())):  # 1, 2, 4, ... < blocks
         maps[s:] = maps[s:] @ maps[:-s]
     return maps
 
 
-def _node_rows(local: np.ndarray, starts: np.ndarray, initial: np.ndarray, steps: int,
-               nodes: np.ndarray | None) -> np.ndarray:
-    """Node rows (c, max(n, 2), steps + 1) from the columns of ``initial``
-    (n+1, c), by one batched product of the in-block states ``local`` with the
-    block starts ``starts`` (blocks, n+1, c); for n = 1, row 1 is the slope
-    from the node rows ``nodes`` of -a_1 and f (see ``_block_maps``)."""
-    (block, blocks, n), c = local.shape[:3], initial.shape[1]
-    out = np.empty((c, max(n, 2), blocks * block + 1))
-    # state row k of column j at node 1 + b block + i is (local[i, b] @ starts[b])[k, j]
-    np.matmul(local.transpose(1, 2, 0, 3), starts[:, None],
-              out=out[:, :n, 1:].reshape(c, n, blocks, block).transpose(2, 1, 3, 0))
+def _node_rows(maps: np.ndarray, starts: np.ndarray, initial: np.ndarray, steps: int,
+               nodes, forced: np.ndarray | None = None) -> np.ndarray:
+    """Node rows (c, max(n, 2), steps + 1) from the columns of ``initial`` (n+1, c)
+    and the block starts ``starts`` (blocks, n+1, c): products with the in-block
+    states, ``maps`` (block, blocks, n, n+1) of ``_block_maps``, or the shared
+    homogeneous maps (block, n, n) and ``forced`` of ``_constant_maps``; for n = 1,
+    row 1 is the slope from the node rows ``nodes`` of -a_1 and f.  The last block may
+    run past the grid: the last two are taken at full block shape and the nodes kept."""
+    block, blocks, (n, c) = len(maps), len(starts), (len(initial) - 1, initial.shape[1])
+    out = np.empty((c, max(n, 2), steps + 1))
     out[:, :n, 0] = initial[:n].T
+    lead = None if forced is None else np.ascontiguousarray(starts[:, :n].transpose(2, 0, 1))
+
+    def product(b0, b1, dest):  # the state rows (c, n, (b1 - b0) block) of blocks b0..b1-1
+        if forced is None:
+            # state row k of column j at node 1 + b block + i is (maps[i, b] @ starts[b])[k, j]
+            np.matmul(maps[:, b0:b1].transpose(1, 2, 0, 3), starts[b0:b1, None],
+                      out=dest.reshape(c, n, b1 - b0, block).transpose(2, 1, 3, 0))
+            return
+        # ... is (maps[i] @ starts[b, :n])[k, j], plus the forcing column times the
+        # augmented component z_j below: one product of the block starts with the
+        # shared maps per column j and row k
+        np.matmul(lead[:, None, b0:b1], maps.transpose(1, 2, 0),
+                  out=dest.reshape(c, n, b1 - b0, block))
+
+    # the last two blocks at full block shape, as a product of one block would be a
+    # vector product, rounded otherwise; the last block may run past the grid
+    head = max(blocks - 2, 0)
+    product(0, head, out[:, :n, 1:head * block + 1])
+    tail = np.empty((c, n, (blocks - head) * block))
+    product(head, blocks, tail)
+    out[:, :n, head * block + 1:] = tail[:, :, :steps - head * block]
+    for j in () if forced is None else np.flatnonzero(initial[n]):  # plus z_j times forced
+        out[j, :n, 1:] += forced if initial[n, j] == 1 else initial[n, j] * forced
     if n == 1:  # x' = -a_1 x + z f, where the augmented component z stays constant
         out[:, 1] = nodes[0] * out[:, 0] + nodes[1] * initial[n][:, None]
-    return out[:, :, :steps + 1]
+    return out
 
 
 def _rk4_scan(ode: LinearODE, grid: TimeGrid, initial: np.ndarray) -> np.ndarray:
     """Node rows (c, max(n, 2), N) of z' = C(t) z from the columns of ``initial``
     (n+1, c) by RK4 (row k of column j is its x^(k), row 1 its x'): the block
-    maps of ``_block_maps``, carried across the blocks by ``_carry``, at the nodes."""
+    maps, of ``_constant_maps`` when no coefficient depends on t and of
+    ``_block_maps`` otherwise, carried across the blocks by ``_carry``, at the
+    nodes (``_node_rows``)."""
+    steps = grid.num_points - 1
+    if all(map(is_constant, ode.coeffs)):
+        maps, forced, ends, nodes = _constant_maps(ode, grid)
+        return _node_rows(maps, _carry(ends) @ initial, initial, steps, nodes, forced)
     local, nodes = _block_maps(ode, grid)
-    return _node_rows(local, _carry(local) @ initial, initial, grid.num_points - 1, nodes)
+    return _node_rows(local, _carry(local[-1, :-1]) @ initial, initial, steps, nodes)
 
 
 def _propagate(ode: LinearODE, grid: TimeGrid, initial: np.ndarray) -> np.ndarray:

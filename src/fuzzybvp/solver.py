@@ -155,16 +155,19 @@ class FuzzySolution:
                                   self._cut_table([_check_alpha(alpha)]))
         return fuzzy._checked_interval(float(lower[0]), float(upper[0]))
 
-    def _node_blocks(self, grid: TimeGrid):
-        """``(start, stop, columns)`` for each ``BLOCK_ROWS`` nodes of the
+    def _node_blocks(self, grid: TimeGrid, times: bool = False):
+        """``(start, stop, t, columns)`` for each ``BLOCK_ROWS`` nodes of the
         grid: the weights and the crisp value there (nodes, n+1), slices of
-        the node values on the solution grid and interpolated on another."""
+        the node values on the solution grid and interpolated on another, and
+        the node times ``t`` that interpolation took, or that ``times`` asks
+        for (None otherwise)."""
         values, slopes = self.columns.transpose(1, 2, 0)  # (nodes, n+1) each
         on_grid = grid == self.grid
         for start in range(0, grid.num_points, BLOCK_ROWS):
             stop = min(start + BLOCK_ROWS, grid.num_points)
-            yield start, stop, (values[start:stop] if on_grid else
-                                _hermite(self.grid, values, slopes, grid.nodes(start, stop)))
+            t = grid.nodes(start, stop) if times or not on_grid else None
+            yield start, stop, t, (values[start:stop] if on_grid else
+                                   _hermite(self.grid, values, slopes, t))
 
     def band(self, alphas, grid: TimeGrid | None = None) -> SolutionBand:
         """Alpha-cut band over a grid (the solution grid by default).
@@ -179,7 +182,7 @@ class FuzzySolution:
         cuts = self._cut_table(levels)
         lower = np.empty((len(levels), grid.num_points))
         upper = np.empty_like(lower)
-        for start, stop, columns in self._node_blocks(grid):
+        for start, stop, _, columns in self._node_blocks(grid):
             self._cuts(columns, cuts, lower[:, start:stop], upper[:, start:stop])
         return SolutionBand(grid, levels, lower, upper)
 
@@ -192,8 +195,8 @@ class FuzzySolution:
         bits of one whole pass: every step is elementwise.
         """
         cuts = self._cut_table(alpha_levels(alphas))
-        for start, stop, columns in self._node_blocks(grid):
-            yield (grid.nodes(start, stop), *self._cuts(columns, cuts))
+        for _, _, t, columns in self._node_blocks(grid, times=True):
+            yield (t, *self._cuts(columns, cuts))
 
     def membership_of(self, boundary_values) -> float:
         """Possibility of the crisp trajectory with these boundary values:

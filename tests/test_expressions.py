@@ -12,6 +12,7 @@ from fuzzybvp.expressions import (
     ExpressionSyntaxError,
     UnknownIdentifierError,
     _tokenize,
+    is_constant,
     parse,
 )
 
@@ -235,3 +236,12 @@ def test_digit_that_is_not_decimal_is_a_syntax_error_with_a_column(text, error, 
 def test_decimal_digits_of_any_script_are_numbers():
     assert parse("٣*t").evaluate(2.0) == 6.0
     assert parse("١.٥e١").evaluate(0.0) == 15.0
+
+
+@pytest.mark.parametrize("text, constant", [
+    ("-3", True), ("2*pi - sin(1)/e", True), ("(1 + 2)^-0.5", True), ("1/0", True),
+    ("t", False), ("0*t + 1", False), ("exp(-t)", False), ("-(2 - sqrt(1 + t^2))", False),
+])
+def test_is_constant_finds_t_anywhere_in_the_tree(text, constant):
+    # the scan takes its constant-coefficient path on this verdict
+    assert is_constant(parse(text)) is constant

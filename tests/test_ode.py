@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 import reference
 from fuzzybvp import ode as ode_module
-from fuzzybvp.expressions import ZERO, EvaluationError
+from fuzzybvp.expressions import ZERO, EvaluationError, parse
 from fuzzybvp.fuzzy import TriangularFuzzyNumber
 from fuzzybvp.ode import (
     KRONECKER_TOL,
@@ -551,6 +551,90 @@ class TestFusedScan:
         assert columns == [4, 4] and len(checks) == 2
         assert np.array_equal(checks[1], checks[0])
         assert np.array_equal(separate.weights, solution.weight_basis.weights)
+
+
+# constant coefficients and a forcing in t, by order; written "0*t + (c)", the
+# same coefficients take the scan's general path, with the same values
+CONSTANT_COEFFS = {1: ["0.7"], 2: ["-3", "2"], 3: ["1.5", "-2", "0.5"],
+                   4: ["0.3", "1", "-0.2", "2"], 5: ["0.1", "1", "0.7", "-2", "0.25"]}
+
+
+def with_zero_t(ode):
+    """``ode`` with every coefficient c written 0*t + (c): the general path."""
+    coeffs = tuple(parse(f"0*t + ({c.to_text()})") for c in ode.coeffs)
+    return LinearODE(ode.order, coeffs, ode.forcing)
+
+
+class TestConstantCoefficients:
+    """Coefficients without t take ``_constant_maps``: the homogeneous maps of
+    one block, shared by all blocks, and the forcing columns stepped in
+    increment form.  Only the particular column's rounding moves."""
+
+    @pytest.mark.parametrize("num_points", CARRY_POINTS + [2001, 4001, 20001])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_rows_match_the_general_path(self, order, num_points):
+        # the basis keeps the stage arithmetic: its bits wherever the blocks
+        # have more than one step, as at 1 001 to 4 001 nodes, and a few eps
+        # on one-step blocks, whose product is a vector product (1.6 eps at
+        # most); the particular column moves by a few eps (3.5 at most)
+        ode = LinearODE.from_strings(order, CONSTANT_COEFFS[order], "t^3 - sqrt(1 + t)")
+        grid = TimeGrid(0.0, 2.0, num_points)
+        initial = np.eye(order + 1)
+        rows = ode_module._rk4_scan(ode, grid, initial)
+        expected = ode_module._rk4_scan(with_zero_t(ode), grid, initial)
+        assert rows.shape == expected.shape == (order + 1, max(order, 2), num_points)
+        eps = np.finfo(float).eps
+        if num_points in (1001, 2001, 4001):
+            assert np.array_equal(rows[:order], expected[:order])
+        scale = np.abs(expected[:order]).max(axis=(1, 2), keepdims=True)
+        assert (np.abs(rows[:order] - expected[:order]) <= 4 * eps * scale).all()
+        scale = np.abs(expected[order]).max()
+        assert np.abs(rows[order] - expected[order]).max() <= 32 * eps * scale
+        if order == 1:  # the slope row is x' = -a_1 x + z f at the node values
+            f = ode.forcing.evaluate(grid.nodes())
+            assert np.array_equal(rows[:, 1], -0.7 * rows[:, 0] + np.outer(initial[1], f))
+
+    @pytest.mark.parametrize("num_points", [1001, 2001, 4001, 100001])
+    @pytest.mark.parametrize("example", [1, 2])
+    def test_examples_keep_their_weights(self, example, num_points):
+        # the weights keep every bit; the crisp column moves by up to 16.3 eps
+        # of its largest entry and the bands by up to 6.9
+        problem = (reference.make_example1 if example == 1 else reference.make_example2)(num_points)
+        general = FuzzyBVP(with_zero_t(problem.ode), problem.conditions, problem.grid)
+        solution, expected = solve_fuzzy_bvp(problem), solve_fuzzy_bvp(general)
+        assert np.array_equal(solution.columns[:-1], expected.columns[:-1])
+        eps = np.finfo(float).eps
+        crisp, want = solution.columns[-1], expected.columns[-1]
+        assert np.abs(crisp - want).max() <= 32 * eps * np.abs(want).max()
+        band, want = solution.band([0.0, 0.5, 1.0]), expected.band([0.0, 0.5, 1.0])
+        for got, exp in ((band.lower, want.lower), (band.upper, want.upper)):
+            assert np.abs(got - exp).max() <= 16 * eps * np.abs(exp).max()
+
+    @pytest.mark.parametrize("coeffs", [["-3", "2"], ["0*t - 3", "2"]])
+    def test_node_rows_hold_exactly_the_nodes(self, coeffs):
+        # 1 000 steps make 143 blocks of 7, one step past the grid; the rows
+        # are allocated for the 1 001 nodes alone, so a solve of order 2 keeps
+        # them without a copy
+        ode = LinearODE.from_strings(2, coeffs, "4*t - 6")
+        rows = ode_module._rk4_scan(ode, TimeGrid(0.0, 1.0, 1001), np.eye(3))
+        assert rows.shape == (3, 2, 1001)
+        assert rows.flags.c_contiguous and rows.base is None
+
+    def test_a_failing_constant_coefficient_names_t0(self):
+        ode = LinearODE.from_strings(2, ["1", "1/0"], "t")
+        with pytest.raises(EvaluationError, match="division by zero") as info:
+            integrate_ivp(ode, [1.0, 0.0], TimeGrid(0.5, 2.0, 1001))
+        assert info.value.t == 0.5
+
+    @pytest.mark.parametrize("num_points", [1001, 1009])
+    def test_a_failing_forcing_names_its_first_stage_time(self, num_points):
+        ode = LinearODE.from_strings(2, ["0", "1"], "sqrt(0.55 - t)")
+        grid = TimeGrid(0.0, 1.0, num_points)
+        half = grid.t0 + 0.5 * grid.step * np.arange(2 * grid.num_points - 1)
+        first = half[np.flatnonzero(0.55 - half < 0.0)[0]]
+        with pytest.raises(EvaluationError, match="sqrt of negative") as info:
+            integrate_ivp(ode, [1.0, 0.0], grid)
+        assert info.value.t == first
 
 
 class TestHomogeneousBasis:

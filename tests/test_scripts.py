@@ -33,5 +33,5 @@ def test_compare_trees_finds_this_tree_equal_to_itself():
     assert result.stderr == b""
     header, *rows = result.stdout.decode().splitlines()
     assert header.split()[0] == "array"
-    assert len(rows) == 6 * 5
+    assert len(rows) == 8 * 5
     assert all(row.split()[1] == "0" for row in rows)

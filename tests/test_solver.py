@@ -271,6 +271,29 @@ class TestOneSolutionArray:
         solution2.band([0.0, 0.6, 1.0])  # the solution grid is sliced, not interpolated
         assert len(calls) == 4
 
+    def test_node_times_are_built_once_per_block(self, solution2, monkeypatch):
+        # off the grid, band_blocks yields the times its Hermite pass took;
+        # on the grid, band builds none
+        calls = []
+        nodes = TimeGrid.nodes
+
+        def counting(grid, start=0, stop=None):
+            calls.append((start, stop))
+            return nodes(grid, start, stop)
+
+        monkeypatch.setattr(TimeGrid, "nodes", counting)
+        out = TimeGrid(0.0, 2.0, 2 * BLOCK_ROWS + 3)
+        blocks = [(0, BLOCK_ROWS), (BLOCK_ROWS, 2 * BLOCK_ROWS), (2 * BLOCK_ROWS, out.num_points)]
+        assert len(list(solution2.band_blocks([0.5], out))) == 3 and calls == blocks
+        calls.clear()
+        solution2.band([0.5], out)
+        assert calls == blocks
+        calls.clear()
+        solution2.band([0.5])
+        assert calls == []
+        list(solution2.band_blocks([0.5], solution2.grid))
+        assert calls == [(0, solution2.grid.num_points)]
+
     @pytest.mark.parametrize("which", ["example2", "order4"])
     def test_solve_builds_at_most_one_trajectory(self, example2, which, monkeypatch):
         if which == "order4":
