@@ -443,24 +443,21 @@ def _t_format(grid: TimeGrid) -> str:
     return "%.12g" if all(a != b for a, b in zip(texts, texts[1:])) else "%.17g"
 
 
-def band_to_csv(alphas, blocks, t_format: str, handle: BinaryIO | None = None) -> str | None:
-    """The band as CSV: one t column and a lower and an upper column per level.
+def band_to_csv(alphas, blocks, t_format: str, handle: BinaryIO) -> None:
+    """Write the band as CSV to the binary ``handle``, block by block as it is
+    formatted: one t column and a lower and an upper column per level.
 
     ``blocks`` yields ``(t, lower, upper)`` as ``band_blocks(alphas, grid)``
-    does; ``t_format`` is ``_t_format`` of the grid. The text is returned, or
-    written to the binary ``handle`` block by block as it is formatted.
+    does; ``t_format`` is ``_t_format`` of the grid.
     """
     alphas = alpha_levels(alphas)
-    parts = []
-    write = parts.append if handle is None else handle.write
-    write(("t" + "".join(f",lower_{_fmt(a)},upper_{_fmt(a)}" for a in alphas)
-           + "\n").encode("ascii"))
+    handle.write(("t" + "".join(f",lower_{_fmt(a)},upper_{_fmt(a)}" for a in alphas)
+                  + "\n").encode("ascii"))
     block = np.empty((BLOCK_ROWS, 1 + 2 * len(alphas)))
     for t, lower, upper in blocks:
         rows = block[:t.size]
         rows[:, 0], rows[:, 1::2], rows[:, 2::2] = t, lower.T, upper.T
-        write(_format_bytes(rows, t_format))
-    return b"".join(parts).decode("ascii") if handle is None else None
+        handle.write(_format_bytes(rows, t_format))
 
 
 def band_to_json(band: SolutionBand) -> str:

@@ -4,24 +4,25 @@ A linear ODE of order n,
 
     x^(n) + a_1(t) x^(n-1) + ... + a_n(t) x = f(t),
 
-is integrated as a first-order companion system with classical fixed-step RK4
-in three stages: the block maps, RK4 on the block states through the companion
-structure (a shift plus one row); their carry across the blocks, a log-depth
-prefix product; and the node rows, batched products.  One scan from the
-augmented identity writes a fundamental basis (canonical initial states) and a
-particular solution (zero initial state) as node rows of one array, whose
-values and slopes (n+1, 2, N) a solve keeps.  The basis combination that meets
-the boundary values corrects the particular row into the crisp one in place,
-and the weight functions overwrite the basis rows: one solve of the transposed
-boundary system, by an elimination that divides by each pivot so that the
-weights meet the unit property exactly at on-grid boundary points.
+is integrated as a first-order companion system with classical fixed-step RK4 in
+three stages: the block maps, RK4 on the block states through the companion
+structure (a shift plus one row), with the coefficients and the forcing read on one
+half-step lattice; their carry across the blocks, a log-depth prefix product; and
+the node rows, batched products, to which order 1 adds its slope row at the nodes.
+One scan from the augmented identity writes a fundamental basis (canonical initial
+states) and a particular solution (zero initial state) as node rows of one array,
+whose values and slopes (n+1, 2, N) a solve keeps.  The basis combination that meets
+the boundary values corrects the particular row into the crisp one in place, and the
+weight functions overwrite the basis rows: one solve of the transposed boundary
+system, by an elimination that divides by each pivot so that the weights meet the
+unit property exactly at on-grid boundary points.
 
 When no coefficient depends on t, as in both examples of the paper, the
 homogeneous block maps are the same in every block.  They are then taken on
 one block, by the same stage arithmetic, so that the basis and the weights keep
 their bits, and only the forcing column differs between blocks: it steps in the
 increment form x <- x + (E x + g_j) of RK4 for constant A, E = R(hA) - I, with f
-evaluated once on the half-step times.  The homogeneous columns keep the stage
+evaluated once on the same lattice.  The homogeneous columns keep the stage
 arithmetic on purpose: in increment form too, the unit-property miss of the
 weights of x'' = 23^2 x with points 0 and 0.7003 on 2 001 nodes grows from
 4.9e-10 to 1.1e-9, past KRONECKER_TOL.
@@ -218,13 +219,22 @@ _RK4_POLYNOMIALS = np.array([[0, 1, 1 / 2, 1 / 6, 1 / 24], [1, 1, 1 / 2, 1 / 4, 
                              [4, 2, 1 / 2, 0, 0]])
 
 
-def _blocking(steps: int) -> tuple[int, int]:
-    """Steps per block and number of blocks of a scan over ``steps`` steps."""
+def _lattice(grid: TimeGrid) -> tuple[int, int, np.ndarray]:
+    """Steps per block, number of blocks and the half-step lattice t0 + h/2 k of a
+    scan of ``grid``, k = 0, ..., 2 blocks block: block b's stage times are k = 2 block b
+    to 2 block (b + 1) and the nodes the even k.  The last block may run past the grid:
+    t_end from the last node on, and its states there are dropped."""
+    steps = grid.num_points - 1
     # An in-block position costs about 20 numpy calls on arrays of all blocks,
     # a block one small matmul in each of the carry's log2(blocks) products;
     # blocks of sqrt(steps / 16) steps balance the two (within 10% from /32 to /8).
     block = max(1, math.isqrt(steps // 16))
-    return block, -(-steps // block)
+    blocks = -(-steps // block)
+    times = np.arange(2.0 * blocks * block + 1)
+    times *= 0.5 * grid.step
+    times += grid.t0
+    times[2 * steps:] = grid.t_end
+    return block, blocks, times
 
 
 def _stage_maps(coeffs: Sequence[np.ndarray], forces: Sequence[np.ndarray] | None,
@@ -276,45 +286,31 @@ def _stage_maps(coeffs: Sequence[np.ndarray], forces: Sequence[np.ndarray] | Non
     return local
 
 
-def _block_maps(ode: LinearODE, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray | None]:
+def _block_maps(ode: LinearODE, grid: TimeGrid) -> np.ndarray:
     """In-block states ``local`` (block, blocks, n, n+1) of ``_stage_maps`` on the
-    steps of ``grid`` cut into blocks (``_blocking``), and for n = 1 the node rows
-    (2, N) of -a_1 and f.
-
-    The coefficients and the forcing are evaluated once on the half-step lattice
-    t0 + h/2 k (t_end at its end), where all stage times fall, laid out as
-    (2 block + 1, n+1, blocks): each stage row contiguous.  The lattice is freed
-    on return, before the node rows are allocated.
-    """
-    n, m, steps, h = ode.order, ode.order + 1, grid.num_points - 1, grid.step
-    block, blocks = _blocking(steps)
-    # one column per block, evaluated through the transpose, whose order is
-    # time order, so that an EvaluationError names the earliest offending time
-    times = np.arange(2 * block + 1.0)[:, None] + np.arange(0.0, 2 * steps, 2 * block)
-    times *= 0.5 * h
-    times += grid.t0
-    # the last block may run past the end: t_end there, and its states are dropped
-    times[2 * (steps - (blocks - 1) * block):, -1] = grid.t_end
-    rows = np.empty((2 * block + 1, m, blocks))
-    for j, coeff in enumerate(reversed(ode.coeffs)):
-        np.negative(coeff.evaluate(times.T).T, out=rows[:, j])
-    rows[:, n] = ode.forcing.evaluate(times.T).T
-    del times
-    local = _stage_maps(list(rows[:, :n]), list(rows[:, n]), h)
-    if n > 1:
-        return local, None
-    nodes = np.concatenate([rows[:-1:2].transpose(1, 2, 0).reshape(m, -1), rows[-1, :, -1:]], 1)
-    return local, nodes[:, :steps + 1]
+    blocks of ``_lattice``.  The coefficients and the forcing are evaluated once on
+    the lattice, in time order, so that an EvaluationError names the earliest
+    offending time, and laid out as (2 block + 1, n+1, blocks): each stage row
+    contiguous.  The lattice is freed on return, before the node rows are allocated."""
+    n = ode.order
+    block, blocks, times = _lattice(grid)
+    rows = np.empty((2 * block + 1, n + 1, blocks))
+    for j, expression in enumerate((*reversed(ode.coeffs), ode.forcing)):
+        values = expression.evaluate(times)  # stage i of block b: lattice point 2 block b + i
+        rows[:-1, j] = values[:-1].reshape(blocks, 2 * block).T
+        rows[-1, j] = values[2 * block::2 * block]
+    del times, values
+    np.negative(rows[:, :n], out=rows[:, :n])
+    return _stage_maps(list(rows[:, :n]), list(rows[:, n]), grid.step)
 
 
 def _constant_maps(ode: LinearODE, grid: TimeGrid) -> tuple:
     """The block maps of an equation whose coefficients do not depend on t, on the
-    blocks of ``_blocking``: the homogeneous in-block maps ``maps`` (block, n, n),
+    blocks of ``_lattice``: the homogeneous in-block maps ``maps`` (block, n, n),
     ``maps[i]`` the map of i+1 steps, the same in every block; the forcing columns
     ``forced`` (n, N - 1), column j the state after step j + 1 from the zero state
-    at the start of its block; the end maps [maps[-1] | forcing column] of every
-    block but the last, (blocks - 1, n, n+1); and for n = 1 the node rows of -a_1
-    and f.
+    at the start of its block; and the end maps [maps[-1] | forcing column] of
+    every block but the last, (blocks - 1, n, n+1).
 
     The maps are ``_stage_maps`` on one block, so that the basis keeps the stage
     arithmetic bit for bit.  For constant A, classical RK4 is x <- x + (E x + g_j)
@@ -324,12 +320,11 @@ def _constant_maps(ode: LinearODE, grid: TimeGrid) -> tuple:
     u = h/6 (I + hA + (hA)^2/2 + (hA)^3/4) e_n, v = h/6 (4I + 2hA + (hA)^2/2) e_n
     and w = h/6 e_n.  The forcing columns take these steps, in this increment form,
     one in-block position at a time for all blocks at once: E x is small next to
-    x, so its rounding is too.  f is evaluated once, in time order, on the
-    half-step lattice t0 + h/2 k (t_end from the last node on).
+    x, so its rounding is too.  f is evaluated once, in time order, on the lattice.
     """
     n, steps, h = ode.order, grid.num_points - 1, grid.step
-    block, blocks = _blocking(steps)
     row = np.array([-coeff.evaluate(grid.t0) for coeff in reversed(ode.coeffs)])
+    block, blocks, times = _lattice(grid)
     maps = _stage_maps([row[:, None]] * (2 * block + 1), None, h)[:, 0, :, :n]
     powers = np.empty((5, n, n))  # (hA)^0, ..., (hA)^4 for the companion matrix A
     powers[0], powers[1] = np.eye(n), h * np.eye(n, k=1)
@@ -338,10 +333,6 @@ def _constant_maps(ode: LinearODE, grid: TimeGrid) -> tuple:
         np.matmul(powers[k - 1], powers[1], out=powers[k])
     e = (_RK4_POLYNOMIALS[0] @ powers.reshape(5, -1)).reshape(n, n)
     uv = (_RK4_POLYNOMIALS[1:] @ powers[:, :, -1]).T * (h / 6)  # the columns u and v
-    times = np.arange(2.0 * blocks * block + 1)
-    times *= 0.5 * h
-    times += grid.t0
-    times[2 * steps:] = grid.t_end
     f = ode.forcing.evaluate(times)
     del times
     # g_j, position-major: u f(t_j) + v f(t_j + h/2) from the pairs of f, then w f(t_j + h)
@@ -357,7 +348,7 @@ def _constant_maps(ode: LinearODE, grid: TimeGrid) -> tuple:
     ends[:, :, :n] = maps[-1]
     ends[:, :, n] = forced[-1, :, :-1].T
     forced = forced.transpose(1, 2, 0).reshape(n, -1)[:, :steps]  # node order, a copy
-    return maps, forced, ends, (None if n > 1 else (row[0], f[:2 * steps + 1:2]))
+    return maps, forced, ends
 
 
 def _carry(ends: np.ndarray) -> np.ndarray:
@@ -375,13 +366,13 @@ def _carry(ends: np.ndarray) -> np.ndarray:
 
 
 def _node_rows(maps: np.ndarray, starts: np.ndarray, initial: np.ndarray, steps: int,
-               nodes, forced: np.ndarray | None = None) -> np.ndarray:
+               forced: np.ndarray | None = None) -> np.ndarray:
     """Node rows (c, max(n, 2), steps + 1) from the columns of ``initial`` (n+1, c)
     and the block starts ``starts`` (blocks, n+1, c): products with the in-block
     states, ``maps`` (block, blocks, n, n+1) of ``_block_maps``, or the shared
     homogeneous maps (block, n, n) and ``forced`` of ``_constant_maps``; for n = 1,
-    row 1 is the slope from the node rows ``nodes`` of -a_1 and f.  The last block may
-    run past the grid: the last two are taken at full block shape and the nodes kept."""
+    row 1, the slope, is left to the caller.  The last block may run past the
+    grid: the last two are taken at full block shape and the nodes kept."""
     block, blocks, (n, c) = len(maps), len(starts), (len(initial) - 1, initial.shape[1])
     out = np.empty((c, max(n, 2), steps + 1))
     out[:, :n, 0] = initial[:n].T
@@ -408,8 +399,6 @@ def _node_rows(maps: np.ndarray, starts: np.ndarray, initial: np.ndarray, steps:
     out[:, :n, head * block + 1:] = tail[:, :, :steps - head * block]
     for j in () if forced is None else np.flatnonzero(initial[n]):  # plus z_j times forced
         out[j, :n, 1:] += forced if initial[n, j] == 1 else initial[n, j] * forced
-    if n == 1:  # x' = -a_1 x + z f, where the augmented component z stays constant
-        out[:, 1] = nodes[0] * out[:, 0] + nodes[1] * initial[n][:, None]
     return out
 
 
@@ -419,12 +408,17 @@ def _rk4_scan(ode: LinearODE, grid: TimeGrid, initial: np.ndarray) -> np.ndarray
     maps, of ``_constant_maps`` when no coefficient depends on t and of
     ``_block_maps`` otherwise, carried across the blocks by ``_carry``, at the
     nodes (``_node_rows``)."""
-    steps = grid.num_points - 1
     if all(map(is_constant, ode.coeffs)):
-        maps, forced, ends, nodes = _constant_maps(ode, grid)
-        return _node_rows(maps, _carry(ends) @ initial, initial, steps, nodes, forced)
-    local, nodes = _block_maps(ode, grid)
-    return _node_rows(local, _carry(local[-1, :-1]) @ initial, initial, steps, nodes)
+        maps, forced, ends = _constant_maps(ode, grid)
+    else:
+        maps, forced = _block_maps(ode, grid), None
+        ends = maps[-1, :-1]
+    out = _node_rows(maps, _carry(ends) @ initial, initial, grid.num_points - 1, forced)
+    if ode.order == 1:  # x' = -a_1 x + z f at the nodes (the lattice's even points),
+        t = grid.nodes()  # where the augmented component z stays constant
+        out[:, 1] = -ode.coeffs[0].evaluate(t) * out[:, 0]
+        out[:, 1] += ode.forcing.evaluate(t) * initial[1][:, None]
+    return out
 
 
 def _propagate(ode: LinearODE, grid: TimeGrid, initial: np.ndarray) -> np.ndarray:

@@ -116,21 +116,27 @@ def singular_unscaled(mat, length, rtol=1e-12):
 # ``ode._rk4_scan`` with the block-to-block carry as it was before the
 # log-depth carry: block b starts from block b-1's end map times block b-1's
 # start, one small product per block.  The block maps and the node rows are
-# the scan's own (``_block_maps``, ``_node_rows``), so the reference differs
-# from the scan only in its carry.  The prefix product only reassociates these
-# products, so the node rows agree to rounding.
+# the scan's own (``_block_maps``, ``_node_rows``, and for order 1 the slope row
+# x' = -a_1 x + z f at the nodes), so the reference differs from the scan only in
+# its carry.  The prefix product only reassociates these products, so the node
+# rows agree to rounding.
 
 
 def rk4_scan_sequential(ode, grid, initial):
     """``ode._rk4_scan``'s node rows (c, max(n, 2), N) from the columns of
     ``initial`` (n+1, c), with the block-to-block carry one block map after
     another."""
-    local, nodes = ode_module._block_maps(ode, grid)
+    local = ode_module._block_maps(ode, grid)
     starts = np.empty((local.shape[1],) + initial.shape)
     starts[:] = initial
     for b in range(1, len(starts)):
         starts[b, :ode.order] = local[-1, b - 1] @ starts[b - 1]
-    return ode_module._node_rows(local, starts, initial, grid.num_points - 1, nodes)
+    rows = ode_module._node_rows(local, starts, initial, grid.num_points - 1)
+    if ode.order == 1:
+        t = grid.nodes()
+        rows[:, 1] = (-ode.coeffs[0].evaluate(t) * rows[:, 0]
+                      + ode.forcing.evaluate(t) * initial[1][:, None])
+    return rows
 
 
 # --- Per-level cut loop ---------------------------------------------------

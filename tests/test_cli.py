@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import struct
@@ -555,7 +556,7 @@ class TestCsvFormatting:
     def test_levels_are_sorted_for_header_and_columns(self, solution1):
         # band_to_csv and band_blocks order the levels alike, whatever the caller's order
         out, alphas = TimeGrid(0.0, 1.0, 11), [1.0, 0.0, 0.5, 1.0]
-        text = band_to_csv(alphas, solution1.band_blocks(alphas, out), "%.12g")
+        text = csv_text(alphas, solution1.band_blocks(alphas, out), "%.12g")
         assert text.split("\n")[0] == "t,lower_0,upper_0,lower_0.5,upper_0.5,lower_1,upper_1"
         assert_same_text(text, reference.band_to_csv(solution1.band([0.0, 0.5, 1.0], out)))
 
@@ -588,6 +589,13 @@ def special_band(rows, seed=0):
     return SolutionBand(TimeGrid(-1.5, 2.5e3, rows), alphas, lower.copy(), upper.copy())
 
 
+def csv_text(alphas, blocks, t_format):
+    """What ``band_to_csv`` writes, as text."""
+    buffer = io.BytesIO()
+    band_to_csv(alphas, blocks, t_format, buffer)
+    return buffer.getvalue().decode("ascii")
+
+
 def csv_of(band):
     """``band_to_csv`` of a whole band, fed in ``BLOCK_ROWS``-node blocks as
     ``FuzzySolution.band_blocks`` feeds it."""
@@ -598,7 +606,7 @@ def csv_of(band):
             stop = min(start + BLOCK_ROWS, grid.num_points)
             yield grid.nodes(start, stop), band.lower[:, start:stop], band.upper[:, start:stop]
 
-    return band_to_csv(band.alphas, blocks(), _t_format(grid))
+    return csv_text(band.alphas, blocks(), _t_format(grid))
 
 
 def assert_same_text(text, expected):
