@@ -5,9 +5,11 @@
     PYTHONPATH=<tree>/src python scripts/compare_trees.py --dump <tree> > arrays.npz
 
 Each tree runs in a fresh interpreter with PYTHONPATH=<tree>/src.  The
-solves are examples 1 and 2, the order-4 four-point problem, the stiff
-x'' = k^2 x for k = 10 and 18, a forced third-order problem with constant
-coefficients, and two first-order problems with one condition at t = 0.3,
+solves are examples 1 and 2, example 1 with its t = 1 condition parametric
+(knots 0, 0.3, 0.7 and 1, so that the level 0.5 cuts it between knots), the
+order-4 four-point problem, the stiff x'' = k^2 x for k = 10 and 18, a
+forced third-order problem with constant coefficients, and two first-order
+problems with one condition at t = 0.3,
 x' + 0.7x = sin(2t) + t and x' + (1 + t)x = cos(t) on [0, 1], one for each
 of the scan's paths, all on 1 001 nodes; x'' = 23^2 x with points 0 and 0.7003
 on 2 001 nodes, the unit-property check's edge case; and example 1 on 100 001
@@ -23,8 +25,9 @@ one tree's arrays, as an npz, to stdout.
 A large figure need not be a large move.  The crisp column is the sum
 p + c_1 b_1 + ... + c_n b_n of the particular solution and the weighted
 basis, and its rounding scales with max(|p| + sum |c_j b_j|), not with
-max |crisp|.  Their ratio, the amplification A, is 19 for example 1, 8.4
-for example 2, 8.5 for the order-4 problem, 5.4 for the third-order one,
+max |crisp|.  Their ratio, the amplification A, is 19 for example 1 in
+either form (the parametric condition has the same vertex), 8.4 for
+example 2, 8.5 for the order-4 problem, 5.4 for the third-order one,
 1.2 and 1.9 for the first-order ones, 1.1e4 for k = 10, 3.3e7 for k = 18 and
 4.9e6 for k = 23, where growing basis solutions nearly cancel.  So a crisp move
 of 0.11 eps of that sum reads 3.7e6 on stiff-k18/columns: divide a row's figure
@@ -47,11 +50,13 @@ ARRAYS = ("columns", "band.lower", "band.upper", "off-grid.lower", "off-grid.upp
 def _problems():
     """The solve set, by name.  fuzzybvp is imported only here and in ``dump``,
     in the child interpreter, so that it comes from the tree under test."""
-    from fuzzybvp import FuzzyBVP, LinearODE, TimeGrid, TriangularFuzzyNumber
+    from fuzzybvp import (FuzzyBVP, LinearODE, ParametricFuzzyNumber, TimeGrid,
+                          TriangularFuzzyNumber)
 
     def problem(order, coeffs, forcing, t_end, conditions, num_points=1001):
         ode = LinearODE.from_strings(order, coeffs, forcing)
-        pairs = tuple((t, TriangularFuzzyNumber(*v)) for t, v in conditions)
+        pairs = tuple((t, TriangularFuzzyNumber(*v) if isinstance(v, tuple) else v)
+                      for t, v in conditions)
         return FuzzyBVP(ode, pairs, TimeGrid(0.0, t_end, num_points))
 
     ex1 = ("-3", "2"), "4*t - 6", 1.0, ((0.0, (1.5, 2, 3)), (1.0, (2, 3, 4)))
@@ -60,7 +65,10 @@ def _problems():
                (2.0, (-1, -0.5, 0))))
     stiff = ((0.0, (0.5, 1, 1.5)), (1.0, (1.5, 2, 2.5)))
     order1 = ((0.3, (0.5, 1, 1.5)),)
+    # 3 - (1 - a)^2 and 3 + (1 - a^2) at the knots
+    bent = ParametricFuzzyNumber((0, 0.3, 0.7, 1), (2, 2.51, 2.91, 3), (4, 3.91, 3.51, 3))
     return {"ex1": problem(2, *ex1),
+            "ex1-param": problem(2, *ex1[:3], ((0.0, (1.5, 2, 3)), (1.0, bent))),
             "ex2": problem(2, ("0", "16"), "47 - 8*t^2", 2.0,
                            ((0.0, (2, 3, 3.5)), (2.0, (0.5, 1, 1.5)))),
             "order4": problem(4, *order4),

@@ -1,10 +1,10 @@
 """Fuzzy numbers, alpha-cuts, membership, and the vertex/uncertain split.
 
-Two representations are supported: triangular numbers (left, peak, right)
-and parametric numbers stored as sampled branch functions on an alpha grid
-with piecewise-linear interpolation between levels.  Only fuzzy numbers
-with a unique vertex of possibility 1 are accepted; trapezoids are
-rejected at construction.
+Triangular numbers (left, peak, right) are cut by the linear formula that
+also samples them onto an alpha grid; parametric numbers, sampled branch
+functions on an alpha grid, by numpy's piecewise-linear ``interp``, exact at
+every stored level.  Only fuzzy numbers with a unique vertex of possibility 1
+are accepted; trapezoids are rejected at construction.
 """
 
 from __future__ import annotations
@@ -81,9 +81,7 @@ class TriangularFuzzyNumber:
         alpha = _check_alpha(alpha)
         if alpha == 1.0:
             return Interval(self.peak, self.peak)
-        lo = self.left + alpha * (self.peak - self.left)
-        hi = self.right - alpha * (self.right - self.peak)
-        return _checked_interval(lo, hi)
+        return _checked_interval(*_sample_linear_tri(self, alpha))
 
     def membership(self, x: float) -> float:
         """Largest alpha whose cut contains x; 0 outside the support (and for nan)."""
@@ -102,19 +100,6 @@ class TriangularFuzzyNumber:
         return scale(c, self)
 
     __rmul__ = __mul__
-
-
-def _interp_branch(alphas: np.ndarray, values: np.ndarray, alpha: float) -> float:
-    """Piecewise-linear branch value at alpha (alphas strictly increasing).
-
-    Exact at every stored level, including the last one.
-    """
-    if alpha >= alphas[-1]:
-        return float(values[-1])
-    idx = int(np.searchsorted(alphas, alpha, side="right")) - 1
-    idx = min(max(idx, 0), len(alphas) - 2)
-    a0, a1 = alphas[idx], alphas[idx + 1]
-    return values[idx] + (alpha - a0) * (values[idx + 1] - values[idx]) / (a1 - a0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,9 +167,8 @@ class ParametricFuzzyNumber:
 
     def alpha_cut(self, alpha: float) -> Interval:
         alpha = _check_alpha(alpha)
-        lo = _interp_branch(self.alphas, self.lower, alpha)
-        hi = _interp_branch(self.alphas, self.upper, alpha)
-        return _checked_interval(float(lo), float(hi))
+        return _checked_interval(np.interp(alpha, self.alphas, self.lower),
+                                 np.interp(alpha, self.alphas, self.upper))
 
     def membership(self, x: float) -> float:
         """Largest alpha with lower(alpha) <= x <= upper(alpha); 0 outside the
@@ -210,9 +194,8 @@ class ParametricFuzzyNumber:
     def resample(self, alphas) -> "ParametricFuzzyNumber":
         """Same number re-sampled on another alpha grid (exact on a refinement)."""
         alphas = np.asarray(alphas, dtype=float)
-        lower = np.array([_interp_branch(self.alphas, self.lower, a) for a in alphas])
-        upper = np.array([_interp_branch(self.alphas, self.upper, a) for a in alphas])
-        return ParametricFuzzyNumber(alphas, lower, upper)
+        return ParametricFuzzyNumber(alphas, np.interp(alphas, self.alphas, self.lower),
+                                     np.interp(alphas, self.alphas, self.upper))
 
     def __add__(self, other):
         return add(self, other)

@@ -468,13 +468,15 @@ def boundary_matrix(basis: Sequence[Trajectory], points: Sequence[float]) -> np.
 
 
 def _at_points(grid: TimeGrid, rows: np.ndarray, points) -> np.ndarray:
-    """The columns of node rows (c, >= 2, N) at ``points``; raises ValueError if a basis column
-    (the first len(points)) is subnormal at every point: its few bits would set the weights."""
+    """The columns of node rows (c, >= 2, N) at ``points``, the boundary matrix (the first
+    len(points)) checked where it is evaluated: ValueError if a basis column is subnormal at every
+    point (its few bits would set the weights), then ``require_invertible`` on the matrix."""
     at = _hermite(grid, *rows[:, :2].transpose(1, 2, 0), np.array(points, dtype=float))
     top = np.abs(at[:, :len(points)]).max(axis=0)
     if top.min() < np.finfo(float).tiny:
         raise ValueError(f"basis solution {top.argmin() + 1} is at most {top.min():.1e} at the "
                          f"boundary points, below the normal float range")
+    require_invertible(at[:, :len(points)], grid.t_end - grid.t0)
     return at
 
 
@@ -549,16 +551,14 @@ def weight_functions(grid: TimeGrid, basis: np.ndarray, boundary_points: Sequenc
     dividing solve of the transposed boundary system whose right-hand sides
     are the rows of ``basis`` (n, 2, N), basis solution i's node values and
     slopes, which the weights overwrite and then view, read-only.  The boundary
-    ``matrix``, if given, has passed ``require_invertible``.
+    ``matrix``, if given, comes checked from ``_at_points``.
 
     Raises ValueError for a subnormal basis column, NonUniqueCrispSolution for a
     singular boundary matrix and UnitPropertyError when rounding leaves the
     weights off the unit property at a boundary point by more than KRONECKER_TOL.
     """
     points = tuple(float(p) for p in boundary_points)
-    if matrix is None:
-        matrix = _at_points(grid, basis, points)
-        require_invertible(matrix, grid.t_end - grid.t0)
+    matrix = _at_points(grid, basis, points) if matrix is None else matrix
     _solve_dividing(matrix.T, basis)
     basis.flags.writeable = False
     wb = WeightBasis(grid, points, *basis.transpose(1, 2, 0))
@@ -606,7 +606,6 @@ def _basis_and_crisp(ode: LinearODE, grid: TimeGrid, points: Sequence[float],
     n = ode.order
     columns = _propagate(ode, grid, np.eye(n + 1))
     at_points = _at_points(grid, columns, points)
-    require_invertible(at_points[:, :n], grid.t_end - grid.t0)
     coefficients = np.linalg.solve(at_points[:, :n], values - at_points[:, n])
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n):

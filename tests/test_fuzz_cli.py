@@ -9,8 +9,9 @@ The documents are drawn mostly valid, so that most of them reach the solver:
 orders 1-4, expressions from the grammar with literals such as 1e300 and
 -1600, intervals from 1e-6 to 100 long at t0 far from 0 or not, boundary
 points at the ends, at 0.5, 0.7 and 0.7003 of the length and at random,
-triangular and parametric values, and CSV or JSON output.  A few are broken
-on purpose, so that validation errors go through the same checks.
+triangular and parametric values, output levels on and off the parametric
+knots, and CSV or JSON output.  A few are broken on purpose, so that
+validation errors go through the same checks.
 """
 
 import contextlib
@@ -26,7 +27,8 @@ from hypothesis import strategies as st
 
 from fuzzybvp import cli
 
-LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
+LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)  # the knots of the parametric values
+OFF_KNOTS = (0.1, 0.6, 0.9)  # output levels that cut a parametric value between knots
 
 literals = st.sampled_from(["0", "1", "2", "-3", "16", "0.5", "-1600", "400", "1e300", "1e-8"])
 leaves = st.one_of(literals, literals, st.just("t"), st.just("pi"), st.just("e"))
@@ -72,7 +74,8 @@ def documents(draw, orders=st.integers(1, 4), at_ends=False):
            "conditions": [{"t": t0 + f * length, "value": draw(fuzzy_values())}
                           for f in fractions],
            "output": {"points": draw(st.sampled_from([2, 11, 101])),
-                      "alphas": sorted(draw(st.sets(st.sampled_from(LEVELS), min_size=1)))}}
+                      "alphas": sorted(draw(st.sets(st.sampled_from(LEVELS + OFF_KNOTS),
+                                                    min_size=1)))}}
     broken = draw(st.sampled_from([None] * 28 + ["condition", "value", "expression", "interval"]))
     if broken == "condition":
         doc["conditions"].pop()

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -88,6 +90,15 @@ class TestParametricCuts:
         par = ParametricFuzzyNumber([0.0, 1.0], [0.0, 1.0], [2.0, 1.0])
         with pytest.raises(ValueError):
             par.alpha_cut(1.5)
+
+    def test_stored_levels_cut_to_the_stored_values_bit_for_bit(self):
+        # a stored -0.0 included: the cut adds no +0.0 to it
+        alphas = [0.0, 0.3, 0.7, 1.0]
+        lower, upper = [-1.0, -0.0, -0.0, -0.0], [2.0, 1.5, 0.1, 0.0]
+        par = ParametricFuzzyNumber(alphas, lower, upper)
+        for alpha, lo, hi in zip(alphas, lower, upper):
+            cut = par.alpha_cut(alpha)
+            assert np.array([cut.lo, cut.hi]).tobytes() == np.array([lo, hi]).tobytes()
 
 
 class TestParametricValidation:
@@ -292,6 +303,29 @@ def test_cuts_nest_with_increasing_alpha(u, a1, a2):
 def test_triangular_and_parametric_cuts_agree_exactly(tri, alpha):
     par = ParametricFuzzyNumber([0.0, 1.0], [tri.left, tri.peak], [tri.right, tri.peak])
     assert par.alpha_cut(alpha) == tri.alpha_cut(alpha)
+
+
+@given(parametrics(), alphas_unit)
+def test_cut_between_levels_is_within_two_eps_of_the_exact_interpolation(u, alpha):
+    j = int(np.searchsorted(u.alphas, alpha, side="right")) - 1
+    assume(u.alphas[j] != alpha)  # off the stored levels
+    cut = u.alpha_cut(alpha)
+    a0, a1 = Fraction(u.alphas[j]), Fraction(u.alphas[j + 1])
+    for end, values in ((cut.lo, u.lower), (cut.hi, u.upper)):
+        v0, v1 = Fraction(values[j]), Fraction(values[j + 1])
+        top = max(abs(v0), abs(v1))
+        assume(top == 0 or top >= 1e-300)  # subnormal steps round on an absolute scale
+        exact = v0 + (Fraction(alpha) - a0) * (v1 - v0) / (a1 - a0)
+        assert abs(Fraction(end) - exact) <= 2 * Fraction(np.finfo(float).eps) * top
+
+
+@given(parametrics(), st.lists(alphas_unit, max_size=5))
+def test_resample_onto_a_refinement_keeps_every_stored_level_bit_for_bit(u, extra):
+    grid = np.union1d(u.alphas, extra)
+    out = u.resample(grid)
+    kept = np.isin(grid, u.alphas)
+    assert out.lower[kept].tobytes() == u.lower.tobytes()
+    assert out.upper[kept].tobytes() == u.upper.tobytes()
 
 
 @given(fuzzy_numbers, moderate, alphas_unit)

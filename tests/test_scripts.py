@@ -36,7 +36,7 @@ def test_compare_trees_finds_this_tree_equal_to_itself():
     assert result.stderr == b""
     header, *rows = result.stdout.decode().splitlines()
     assert header.split()[0] == "array"
-    assert len(rows) == 10 * 5
+    assert len(rows) == 11 * 5
     assert all(row.split()[1] == "0" for row in rows)
 
 
