@@ -16,8 +16,13 @@ on 2 001 nodes, the unit-property check's edge case; and example 1 on 100 001
 nodes.  For each solve the trees give the solution's columns (values and
 slopes of the weights and the crisp solution), a 3-level band on the grid and
 a 3-level band on 2 001 points, off the grid's nodes except on the 2 001- and
-100 001-node grids.  One line per array gives max |new - old| / (eps * max |old|):
-0 when every bit is the same.  A solve that raises is recorded, not fatal: each
+100 001-node grids.  For each condition of each solve, the rows <case>-c<i> give
+its memberships at 101 points across its support and the branch values of its
+split_crisp (vertex first), scale(-2.5, u) and add(u, u); the rows mixed/ give
+add of each triangular condition of example 1 with the parametric one of
+ex1-param, in either order.  Branch values are alphas, lower and upper of a
+parametric number and (left, peak, right) of a triangular one.  One line per
+array gives max |new - old| / (eps * max |old|): 0 when every bit is the same.  A solve that raises is recorded, not fatal: each
 of its lines names the exception instead.  The exit status is 0 when both trees
 ran, whatever the differences, and 1 when one of them failed.  ``--dump`` writes
 one tree's arrays, as an npz, to stdout.
@@ -103,9 +108,41 @@ def dump(tree):
             continue
         computed = (solution.columns, on_grid.lower, on_grid.upper, off_grid.lower, off_grid.upper)
         arrays.update({f"{case}/{kind}": array for kind, array in zip(ARRAYS, computed)})
+    arrays.update(_fuzzy_arrays(_problems()))
     buffer = io.BytesIO()
     np.savez(buffer, **arrays)
     sys.stdout.buffer.write(buffer.getvalue())
+
+
+def _branch_values(u):
+    """The knots and branch values of u in one array, read from fields that both
+    kinds have had in every tree."""
+    if hasattr(u, "alphas"):
+        return np.concatenate([u.alphas, u.lower, u.upper])
+    return np.array([u.left, u.peak, u.right])
+
+
+def _fuzzy_arrays(problems):
+    """The fuzzy layer's rows: each condition's memberships and the branch values
+    of its split, scaling and doubling, and the mixed sums of example 1."""
+    from fuzzybvp.fuzzy import add, scale, split_crisp
+
+    arrays = {}
+    for case, problem in problems.items():
+        for i, (_, u) in enumerate(problem.conditions):
+            support = u.alpha_cut(0.0)
+            vertex, uncertain = split_crisp(u)
+            arrays.update({
+                f"{case}-c{i}/membership": np.array(
+                    [u.membership(x) for x in np.linspace(support.lo, support.hi, 101)]),
+                f"{case}-c{i}/split_crisp": np.append(vertex, _branch_values(uncertain)),
+                f"{case}-c{i}/scale": _branch_values(scale(-2.5, u)),
+                f"{case}-c{i}/add": _branch_values(add(u, u))})
+    bent = problems["ex1-param"].conditions[1][1]
+    for i, (_, tri) in enumerate(problems["ex1"].conditions):
+        arrays[f"mixed/ex1-c{i}+param"] = _branch_values(add(tri, bent))
+        arrays[f"mixed/param+ex1-c{i}"] = _branch_values(add(bent, tri))
+    return arrays
 
 
 def run(tree):
@@ -149,15 +186,19 @@ def main(argv=None):
 
 
 def report(old, new):
-    """One line per array of two dumps of this script's solves; a case that raised
-    in either dump names its exception on each of its lines."""
+    """One line per array of two dumps, case by case in the order of the dumps.  A
+    case that raised in one dump names its exception on each of its lines, and one
+    that raised in both on its error line."""
     print(f"{'array':<26} max |new - old| / (eps * max |old|)")
-    for case in dict.fromkeys(name.split("/")[0] for name in old):
+    names = dict.fromkeys([*old, *new])
+    cases = list(dict.fromkeys(name.split("/")[0] for name in names))
+    for name in sorted(names, key=lambda name: cases.index(name.split("/")[0])):
+        case = name.split("/")[0]
         errors = [f"{side} raised {arrays[case + '/error']}"
                   for side, arrays in (("old", old), ("new", new)) if case + "/error" in arrays]
-        for kind in ARRAYS:
-            name = f"{case}/{kind}"
-            print(f"{name:<26} {'; '.join(errors) or eps_ratio(old[name], new[name])}")
+        if name.endswith("/error") and len(errors) < 2:
+            continue  # the case's other lines name it
+        print(f"{name:<26} {'; '.join(errors) or eps_ratio(old[name], new[name])}")
 
 
 if __name__ == "__main__":

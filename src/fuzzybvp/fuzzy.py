@@ -1,10 +1,11 @@
 """Fuzzy numbers, alpha-cuts, membership, and the vertex/uncertain split.
 
-Triangular numbers (left, peak, right) are cut by the linear formula that
-also samples them onto an alpha grid; parametric numbers, sampled branch
-functions on an alpha grid, by numpy's piecewise-linear ``interp``, exact at
-every stored level.  Only fuzzy numbers with a unique vertex of possibility 1
-are accepted; trapezoids are rejected at construction.
+Both kinds are read off their branches: lower and upper cut ends at knots in
+alpha, linear between them.  A triangle (left, peak, right) has the knots 0 and
+1, a parametric number a stored grid.  Membership, sums, scaling and the vertex
+split use the branches alone; cuts keep each kind's formula, exact at every knot.
+Only fuzzy numbers with a unique vertex of possibility 1 are accepted; trapezoids
+are rejected at construction.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
@@ -52,9 +52,31 @@ def _check_alpha(alpha: float) -> float:
     return alpha + 0.0  # -0.0 is 0.0: a level has one name
 
 
+class FuzzyNumber:
+    """Base of both kinds: ``branches`` is (alphas, lower, upper), knots 0 ... 1 and the
+    cut's ends there, and ``_with(lower, upper)`` is a number of the same kind."""
+
+    def membership(self, x: float) -> float:
+        """Largest alpha whose cut contains x; 0 outside the support (and for nan)."""
+        alphas, lower, upper = self.branches
+        if not lower[0] <= x <= upper[0]:
+            return 0.0
+        return min(_branch_sup(alphas, lower, x, rising=True),
+                   _branch_sup(alphas, upper, x, rising=False))
+
+    def __add__(self, other):
+        return add(self, other)
+
+    def __mul__(self, c):
+        return scale(c, self)
+
+    __rmul__ = __mul__
+
+
 @dataclass(frozen=True)
-class TriangularFuzzyNumber:
-    """Triangular fuzzy number with support [left, right] and vertex at peak."""
+class TriangularFuzzyNumber(FuzzyNumber):
+    """Triangular fuzzy number with support [left, right] and vertex at peak:
+    the two knots alpha = 0 and 1, branches (left, peak) and (right, peak)."""
 
     left: float
     peak: float
@@ -76,34 +98,24 @@ class TriangularFuzzyNumber:
     def vertex(self) -> float:
         return self.peak
 
+    @property
+    def branches(self):
+        return np.array([(0.0, 1.0), (self.left, self.peak), (self.right, self.peak)])
+
+    def _with(self, lower, upper) -> "TriangularFuzzyNumber":
+        return TriangularFuzzyNumber(lower[0], lower[1], upper[0])
+
     def alpha_cut(self, alpha: float) -> Interval:
         """Cut at level alpha: [left + alpha*(peak-left), right - alpha*(right-peak)]."""
         alpha = _check_alpha(alpha)
         if alpha == 1.0:
             return Interval(self.peak, self.peak)
-        return _checked_interval(*_sample_linear_tri(self, alpha))
-
-    def membership(self, x: float) -> float:
-        """Largest alpha whose cut contains x; 0 outside the support (and for nan)."""
-        if not self.left <= x <= self.right:
-            return 0.0
-        if x == self.peak:
-            return 1.0
-        if x < self.peak:
-            return (x - self.left) / (self.peak - self.left)
-        return (self.right - x) / (self.right - self.peak)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, c):
-        return scale(c, self)
-
-    __rmul__ = __mul__
+        return _checked_interval(self.left + alpha * (self.peak - self.left),
+                                 self.right - alpha * (self.right - self.peak))
 
 
 @dataclass(frozen=True, eq=False)
-class ParametricFuzzyNumber:
+class ParametricFuzzyNumber(FuzzyNumber):
     """Fuzzy number given by sampled lower/upper branch values on an alpha grid.
 
     The grid must cover [0, 1] including both ends, the lower branch must be
@@ -159,106 +171,80 @@ class ParametricFuzzyNumber:
     def from_triangular(cls, tri: TriangularFuzzyNumber,
                         num_levels: int = DEFAULT_NUM_LEVELS) -> "ParametricFuzzyNumber":
         alphas = np.linspace(0.0, 1.0, num_levels)
-        return cls(alphas, *_sample_linear_tri(tri, alphas))
+        return cls(alphas, *_read(tri, alphas))
 
     @property
     def vertex(self) -> float:
         return 0.5 * self.lower[-1] + 0.5 * self.upper[-1]  # no overflow near the float max
+
+    @property
+    def branches(self):
+        return self.alphas, self.lower, self.upper
+
+    def _with(self, lower, upper) -> "ParametricFuzzyNumber":
+        return ParametricFuzzyNumber(self.alphas, lower, upper)
 
     def alpha_cut(self, alpha: float) -> Interval:
         alpha = _check_alpha(alpha)
         return _checked_interval(np.interp(alpha, self.alphas, self.lower),
                                  np.interp(alpha, self.alphas, self.upper))
 
-    def membership(self, x: float) -> float:
-        """Largest alpha with lower(alpha) <= x <= upper(alpha); 0 outside the
-        support (and for nan)."""
-        if not self.lower[0] <= x <= self.upper[0]:
-            return 0.0
-        return min(self._branch_sup(self.alphas, self.lower, x, rising=True),
-                   self._branch_sup(self.alphas, self.upper, x, rising=False))
-
-    @staticmethod
-    def _branch_sup(alphas, values, x, rising):
-        """Largest alpha at which the branch still covers x."""
-        ok = values <= x if rising else values >= x
-        # ok[0] holds by the support check; find the last knot still covering x.
-        j = int(np.max(np.nonzero(ok)))
-        if j == len(alphas) - 1:
-            return 1.0
-        v0, v1 = values[j], values[j + 1]
-        if v0 == v1:
-            return float(alphas[j])
-        return float(alphas[j] + (x - v0) * (alphas[j + 1] - alphas[j]) / (v1 - v0))
-
     def resample(self, alphas) -> "ParametricFuzzyNumber":
         """Same number re-sampled on another alpha grid (exact on a refinement)."""
-        alphas = np.asarray(alphas, dtype=float)
-        return ParametricFuzzyNumber(alphas, np.interp(alphas, self.alphas, self.lower),
-                                     np.interp(alphas, self.alphas, self.upper))
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, c):
-        return scale(c, self)
-
-    __rmul__ = __mul__
+        return ParametricFuzzyNumber(alphas, *_read(self, alphas))
 
 
-FuzzyNumber = Union[TriangularFuzzyNumber, ParametricFuzzyNumber]
+def _branch_sup(alphas, values, x, rising):
+    """Largest alpha at which the branch still covers x."""
+    # values[0] covers x by the support check; j is the last knot still covering
+    # x, and the next one does not, so their values differ.
+    j = int(np.max(np.nonzero(values <= x if rising else values >= x)))
+    if j == len(alphas) - 1:
+        return 1.0
+    v0, v1 = values[j], values[j + 1]
+    return float(alphas[j] + (x - v0) * (alphas[j + 1] - alphas[j]) / (v1 - v0))
+
+
+def _read(u: FuzzyNumber, alphas):
+    """u's branch values at the levels alphas, piecewise linear between its knots."""
+    knots, lower, upper = u.branches
+    return np.interp(alphas, knots, lower), np.interp(alphas, knots, upper)
+
+
+def _branches(u) -> tuple:
+    """u's branches; a TypeError for anything but a fuzzy number."""
+    if not isinstance(u, FuzzyNumber):
+        raise TypeError(f"not a fuzzy number: {type(u).__name__}")
+    return u.branches
 
 
 def scale(c: float, u: FuzzyNumber) -> FuzzyNumber:
     """Multiply a fuzzy number by a real constant (level-wise interval scaling)."""
     c = float(c)
-    if isinstance(u, TriangularFuzzyNumber):
-        if c >= 0.0:
-            return TriangularFuzzyNumber(c * u.left, c * u.peak, c * u.right)
-        return TriangularFuzzyNumber(c * u.right, c * u.peak, c * u.left)
-    if isinstance(u, ParametricFuzzyNumber):
-        if c >= 0.0:
-            return ParametricFuzzyNumber(u.alphas, c * u.lower, c * u.upper)
-        return ParametricFuzzyNumber(u.alphas, c * u.upper, c * u.lower)
-    raise TypeError(f"not a fuzzy number: {type(u).__name__}")
+    _, lower, upper = _branches(u)
+    return u._with(c * lower, c * upper) if c >= 0.0 else u._with(c * upper, c * lower)
 
 
 def add(u: FuzzyNumber, v: FuzzyNumber) -> FuzzyNumber:
     """Level-wise sum of two fuzzy numbers.
 
-    Triangular operands stay triangular.  Mixed operands promote the
-    triangular one to parametric form; parametric operands on different
-    grids are resampled onto the union grid (exact, since the branches are
-    piecewise linear and the union refines both grids).
+    Operands of one kind on one grid keep their kind.  Otherwise both are
+    read as parametric numbers on the union grid (exact, since the branches
+    are piecewise linear and the union refines both grids).
     """
-    if isinstance(u, TriangularFuzzyNumber) and isinstance(v, TriangularFuzzyNumber):
-        return TriangularFuzzyNumber(u.left + v.left, u.peak + v.peak, u.right + v.right)
-    # Promote a triangular operand onto the other grid (exact: linear branches).
-    if isinstance(u, TriangularFuzzyNumber):
-        u = ParametricFuzzyNumber(v.alphas, *_sample_linear_tri(u, v.alphas))
-    if isinstance(v, TriangularFuzzyNumber):
-        v = ParametricFuzzyNumber(u.alphas, *_sample_linear_tri(v, u.alphas))
-    if not np.array_equal(u.alphas, v.alphas):
-        grid = np.union1d(u.alphas, v.alphas)
-        u = u.resample(grid)
-        v = v.resample(grid)
-    return ParametricFuzzyNumber(u.alphas, u.lower + v.lower, u.upper + v.upper)
-
-
-def _sample_linear_tri(tri: TriangularFuzzyNumber, alphas: np.ndarray):
-    return (tri.left + alphas * (tri.peak - tri.left),
-            tri.right - alphas * (tri.right - tri.peak))
+    (a, lu, uu), (b, lv, uv) = _branches(u), _branches(v)
+    if type(u) is type(v) and np.array_equal(a, b):
+        return u._with(lu + lv, uu + uv)
+    grid = np.union1d(a, b)
+    return ParametricFuzzyNumber(grid, *map(np.add, _read(u, grid), _read(v, grid)))
 
 
 def split_crisp(u: FuzzyNumber) -> tuple[float, FuzzyNumber]:
     """Split u into its vertex and a vertex-at-zero uncertain part."""
-    if isinstance(u, TriangularFuzzyNumber):
-        v = u.peak
-        return v, TriangularFuzzyNumber(u.left - v, 0.0, u.right - v)
-    if isinstance(u, ParametricFuzzyNumber):
-        v = u.vertex
-        return v, ParametricFuzzyNumber(u.alphas, u.lower - v, u.upper - v)
-    raise TypeError(f"not a fuzzy number: {type(u).__name__}")
+    _, lower, upper = _branches(u)
+    v = u.vertex
+    with np.errstate(over="ignore"):  # a part that overflows fails its finiteness check
+        return v, u._with(lower - v, upper - v)
 
 
 def _is_number(x) -> bool:
@@ -272,7 +258,7 @@ def fuzzy_from_json(obj) -> FuzzyNumber:
     ``{"type": "triangular", "l": ..., "m": ..., "r": ...}`` or
     ``{"type": "parametric", "alphas": [...], "lower": [...], "upper": [...]}``.
     A field holding anything but a JSON number (a list of them for a
-    parametric number) is a ValueError naming the field."""
+    parametric number), or not listed here, is a ValueError naming the field."""
     if not isinstance(obj, dict):
         raise ValueError("fuzzy number must be a JSON object")
     kind = obj.get("type")
@@ -283,6 +269,9 @@ def fuzzy_from_json(obj) -> FuzzyNumber:
     missing = [k for k in fields if k not in obj]
     if missing:
         raise ValueError(f"{kind} fuzzy number missing fields: {', '.join(missing)}")
+    unknown = [k for k in obj if k != "type" and k not in fields]
+    if unknown:
+        raise ValueError(f"{kind} fuzzy number has unknown fields: {', '.join(unknown)}")
     for k in fields:
         if triangular and not _is_number(obj[k]):
             raise ValueError(f"field {k} must be a number")

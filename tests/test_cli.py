@@ -393,6 +393,24 @@ class TestSolveCommand:
         assert f"conditions[0].value: {message}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value, message", [
+        ({"type": "triangular", "l": 1.5, "m": 2, "r": 3, "rr": 3},
+         "triangular fuzzy number has unknown fields: rr"),
+        ({"type": "parametric", "alphas": [0, 1], "lower": [1.5, 2], "upper": [3, 2],
+          "uper": [9, 9]}, "parametric fuzzy number has unknown fields: uper"),
+    ])
+    def test_unknown_field_in_a_condition_value_exits_1_naming_it(self, tmp_path, capsys,
+                                                                 value, message):
+        doc = example_problem_document(1)
+        doc["conditions"][1]["value"] = value
+        path = tmp_path / "stray-field.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli(["solve", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"conditions[1].value: {message}\n" in captured.err
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("where", ["t", "T"])
     def test_number_too_large_for_a_float_exits_1(self, tmp_path, capsys, where):
         doc = example_problem_document(1)
@@ -978,6 +996,8 @@ DELETE = object()
     (("conditions", 0, "value"), {"type": "triangular", "l": 3, "m": 2, "r": 1},
      "conditions[0].value: triangular fuzzy number requires left <= peak <= right, "
      "got (3.0, 2.0, 1.0)"),
+    (("conditions", 0, "value"), [1.5, 2, 3],
+     "conditions[0].value: fuzzy number must be a JSON object"),
 ])
 def test_validation_messages_name_the_json_path(path, value, error):
     doc = example_problem_document(1)
@@ -1170,6 +1190,34 @@ class TestTColumn:
         assert json.loads(text)["t"] == list(nodes)
         band = solve_fuzzy_bvp(load(str(path))).band([1.0], grid=TimeGrid(5.0, 5.0 + 1e-11, 3))
         assert_same_text(text, reference.band_to_json(band))
+
+    def test_verify_report_gives_back_nodes_that_twelve_digits_confuse(self, tmp_path):
+        # example 1 moved to [5, 5 + 1e-8]: on 3 002 nodes twelve digits print
+        # neighbours alike, so the report's t series is written unrounded and
+        # every other value keeps its twelve
+        doc = example_problem_document(1)
+        t_end = 5.0 + 1e-8
+        doc["interval"] = {"t0": 5.0, "T": t_end}
+        doc["conditions"][0]["t"], doc["conditions"][1]["t"] = 5.0, t_end
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "report.json"
+        assert run_cli(["verify", str(path), "--mesh", "3000", "--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        assert json.loads(text)["t"][1] == 5.0000000000033324
+        problem = load(str(path))
+        grid = TimeGrid(5.0, t_end, 3002)
+        report = compare(solve_fuzzy_bvp(problem).band([0.0], grid=grid),
+                         envelope(problem, 0.0, VERIFY_DEFAULT_SAMPLES, grid))
+        nodes = [float(t) for t in grid.nodes()]
+        assert len(set(map(reference.fmt12, nodes))) < len(nodes)
+        expected = reference.round_tree({
+            "problem": str(path), "mesh_interior_points": 3000,
+            "samples_per_axis": VERIFY_DEFAULT_SAMPLES, "tolerance": VERIFY_DEFAULT_TOLERANCE,
+            "passed": True, **{k: list(v) if isinstance(v, np.ndarray) else v
+                               for k, v in report.to_dict().items()}})
+        expected["t"] = nodes
+        assert_same_text(text, json.dumps(expected, indent=2) + "\n")
 
     @pytest.mark.parametrize("points", [101, 100001])
     @pytest.mark.parametrize("which", [1, 2])

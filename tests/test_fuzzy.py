@@ -101,6 +101,18 @@ class TestParametricCuts:
             assert np.array([cut.lo, cut.hi]).tobytes() == np.array([lo, hi]).tobytes()
 
 
+class TestParametricEquality:
+    def test_equal_arrays_compare_equal(self):
+        par = ParametricFuzzyNumber([0.0, 1.0], [1.0, 2.0], [3.0, 2.0])
+        assert par == ParametricFuzzyNumber(np.array([0, 1]), (1, 2), [3.0, 2.0])
+        assert par != ParametricFuzzyNumber([0.0, 1.0], [1.5, 2.0], [3.0, 2.0])
+
+    def test_triangular_number_compares_unequal(self):
+        par = ParametricFuzzyNumber([0.0, 1.0], [1.0, 2.0], [3.0, 2.0])
+        assert par != TriangularFuzzyNumber(1.0, 2.0, 3.0)
+        assert TriangularFuzzyNumber(1.0, 2.0, 3.0) != par
+
+
 class TestParametricValidation:
     def test_trapezoid_rejected(self):
         with pytest.raises(ValueError, match="unique vertex"):
@@ -207,6 +219,11 @@ class TestAdd:
         assert out.alpha_cut(0.0) == Interval(0.0, 4.0)
         assert out.alpha_cut(1.0) == Interval(2.0, 2.0)
 
+    def test_mixed_promotes_the_right_operand(self):
+        par = ParametricFuzzyNumber([0.0, 0.5, 1.0], [0.0, 0.25, 1.0], [2.0, 1.5, 1.0])
+        out = add(par, TriangularFuzzyNumber(0.0, 1.0, 2.0))
+        assert out == ParametricFuzzyNumber([0.0, 0.5, 1.0], [0.0, 0.75, 2.0], [4.0, 3.0, 2.0])
+
     def test_union_grid_resampling(self):
         a = ParametricFuzzyNumber([0.0, 0.5, 1.0], [0.0, 0.5, 1.0], [2.0, 1.5, 1.0])
         b = ParametricFuzzyNumber([0.0, 0.25, 1.0], [0.0, 0.25, 1.0], [2.0, 1.75, 1.0])
@@ -280,9 +297,36 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match=message):
             fuzzy_from_json(obj)
 
+    @pytest.mark.parametrize("obj, unknown", [
+        ({"type": "triangular", "l": 1.5, "m": 2, "r": 3, "rr": 3}, "rr"),
+        ({"type": "parametric", "alphas": [0, 1], "lower": [1, 2], "upper": [3, 2],
+          "uper": [9, 9]}, "uper"),
+        ({"type": "triangular", "l": 1.5, "m": 2, "r": 3, "x": 0, "y": 1}, "x, y"),
+    ])
+    def test_unknown_field_rejected_with_its_name(self, obj, unknown):
+        with pytest.raises(ValueError) as info:
+            fuzzy_from_json(obj)
+        assert str(info.value) == f"{obj['type']} fuzzy number has unknown fields: {unknown}"
+
     def test_unhashable_type_rejected(self):
         with pytest.raises(ValueError, match="unknown fuzzy number type"):
             fuzzy_from_json({"type": ["triangular"], "l": 1, "m": 2, "r": 3})
+
+
+@pytest.mark.parametrize("u", [TriangularFuzzyNumber(1.0, 2.0, 3.0),
+                               ParametricFuzzyNumber([0.0, 1.0], [1.0, 2.0], [3.0, 2.0])],
+                         ids=["triangular", "parametric"])
+@pytest.mark.parametrize("call, name", [
+    (lambda u: scale(2, 3.0), "float"),
+    (lambda u: add(3.0, u), "float"),
+    (lambda u: add(u, 3.0), "float"),
+    (lambda u: u + 3.0, "float"),
+    (lambda u: split_crisp("x"), "str"),
+], ids=["scale", "add-left", "add-right", "operator", "split_crisp"])
+def test_operand_that_is_not_a_fuzzy_number_is_a_type_error(u, call, name):
+    with pytest.raises(TypeError) as info:
+        call(u)
+    assert str(info.value) == f"not a fuzzy number: {name}"
 
 
 # --- properties ----------------------------------------------------------
@@ -361,6 +405,43 @@ def test_split_crisp_round_trip(u):
         part = uncertain.alpha_cut(float(alpha))
         assert vertex + part.lo == pytest.approx(original.lo, abs=scale_bound)
         assert vertex + part.hi == pytest.approx(original.hi, abs=scale_bound)
+
+
+# every finite float down to the subnormals, bounded so that each difference of
+# two stays finite: a side wider than the float max overflows the closed form
+reals = st.floats(min_value=-8e307, max_value=8e307)
+
+
+@st.composite
+def triangles_and_points(draw):
+    """(left, peak, right, x): either side may be degenerate; x is a corner, a
+    neighbour of one, a point of the support, any float or nan."""
+    left, peak, right = sorted(draw(st.tuples(reals, reals, reals)))
+    left = draw(st.sampled_from([left, peak]))
+    right = draw(st.sampled_from([right, peak]))
+    corners = [left, peak, right]
+    x = draw(st.one_of(
+        st.sampled_from(corners + [float("nan")]),
+        st.sampled_from(corners).flatmap(
+            lambda c: st.sampled_from([float(np.nextafter(c, -np.inf)),
+                                       float(np.nextafter(c, np.inf))])),
+        st.floats(0.0, 1.0).map(lambda s: left + s * (right - left)),
+        reals))
+    return left, peak, right, x
+
+
+@given(triangles_and_points())
+def test_triangular_membership_is_its_closed_form_bit_for_bit(drawn):
+    left, peak, right, x = drawn
+    if not left <= x <= right:
+        expected = 0.0
+    elif x == peak:
+        expected = 1.0
+    elif x < peak:
+        expected = (x - left) / (peak - left)
+    else:
+        expected = (right - x) / (right - peak)
+    assert TriangularFuzzyNumber(left, peak, right).membership(x).hex() == expected.hex()
 
 
 @given(triangulars())

@@ -36,7 +36,8 @@ def test_compare_trees_finds_this_tree_equal_to_itself():
     assert result.stderr == b""
     header, *rows = result.stdout.decode().splitlines()
     assert header.split()[0] == "array"
-    assert len(rows) == 11 * 5
+    # 5 arrays of each of 11 solves, 4 of each of their 23 conditions, 4 mixed sums
+    assert len(rows) == 11 * 5 + 23 * 4 + 4
     assert all(row.split()[1] == "0" for row in rows)
 
 
