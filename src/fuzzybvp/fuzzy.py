@@ -152,17 +152,18 @@ class ParametricFuzzyNumber(FuzzyNumber):
             raise ValueError("alpha grid must be strictly increasing")
         if alphas[0] != 0.0 or alphas[-1] != 1.0:
             raise ValueError("alpha grid must start at 0 and end at 1")
-        if np.any(np.diff(lower) < -VERTEX_TOL):
-            raise ValueError("lower branch must be non-decreasing in alpha")
-        if np.any(np.diff(upper) > VERTEX_TOL):
-            raise ValueError("upper branch must be non-increasing in alpha")
-        if np.any(lower - upper > VERTEX_TOL):
-            raise ValueError("lower branch must not exceed upper branch")
-        if abs(lower[-1] - upper[-1]) > VERTEX_TOL:
-            raise ValueError(
-                "branches must meet at alpha = 1 (unique vertex); "
-                f"got {lower[-1]} and {upper[-1]}"
-            )
+        with np.errstate(over="ignore"):  # a difference past the float range is still signed
+            if np.any(np.diff(lower) < -VERTEX_TOL):
+                raise ValueError("lower branch must be non-decreasing in alpha")
+            if np.any(np.diff(upper) > VERTEX_TOL):
+                raise ValueError("upper branch must be non-increasing in alpha")
+            if np.any(lower - upper > VERTEX_TOL):
+                raise ValueError("lower branch must not exceed upper branch")
+            if abs(lower[-1] - upper[-1]) > VERTEX_TOL:
+                raise ValueError(
+                    "branches must meet at alpha = 1 (unique vertex); "
+                    f"got {lower[-1]} and {upper[-1]}"
+                )
         for name, arr in (("alphas", alphas), ("lower", lower), ("upper", upper)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -202,7 +203,8 @@ def _branch_sup(alphas, values, x, rising):
     if j == len(alphas) - 1:
         return 1.0
     v0, v1 = values[j], values[j + 1]
-    return float(alphas[j] + (x - v0) * (alphas[j + 1] - alphas[j]) / (v1 - v0))
+    h = 0.5 if math.isinf(float(v1) - float(v0)) else 1.0  # halving is exact at that size
+    return float(alphas[j] + (h * x - h * v0) * (alphas[j + 1] - alphas[j]) / (h * v1 - h * v0))
 
 
 def _read(u: FuzzyNumber, alphas):
@@ -243,8 +245,11 @@ def split_crisp(u: FuzzyNumber) -> tuple[float, FuzzyNumber]:
     """Split u into its vertex and a vertex-at-zero uncertain part."""
     _, lower, upper = _branches(u)
     v = u.vertex
-    with np.errstate(over="ignore"):  # a part that overflows fails its finiteness check
-        return v, u._with(lower - v, upper - v)
+    with np.errstate(over="ignore"):
+        parts = lower - v, upper - v
+    if not np.isfinite(parts).all():
+        raise ValueError(f"vertex split u - {v:g} of a {type(u).__name__} leaves the float range")
+    return v, u._with(*parts)
 
 
 def _is_number(x) -> bool:

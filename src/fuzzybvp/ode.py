@@ -584,35 +584,28 @@ def _validate_boundary(order: int, boundary) -> tuple[list[float], list]:
     return points, values
 
 
-def combine(particular: Trajectory, basis: Sequence[Trajectory],
-            coefficients: np.ndarray) -> Trajectory:
-    """Particular solution plus a linear combination of basis solutions."""
-    states = particular.states.copy()
-    slopes = particular.slopes.copy()
-    for c, traj in zip(coefficients, basis):
-        states += c * traj.states
-        slopes += c * traj.slopes
-    return Trajectory(particular.grid, states, slopes)
-
-
-def _basis_and_crisp(ode: LinearODE, grid: TimeGrid, points: Sequence[float],
-                     values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One scan's node rows (n+1, max(n, 2), N) (see ``_rk4_scan``): columns
-    0..n-1 the basis b_j from e_1, ..., e_n, column n the particular solution p from
-    the zero state, plus in place the combination that meets ``values`` at ``points``,
-    p + c_1 b_1 + ... + c_n b_n summed left to right (within (n+1) eps (|p| + sum |c_j b_j|)
-    of the exact sum); and the checked boundary matrix.  Raises NonUniqueCrispSolution
-    if it is singular, ValueError for a subnormal basis column or a non-finite crisp solution."""
+def _scan(ode: LinearODE, grid: TimeGrid, points: Sequence[float],
+          values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One scan's node rows (n+1, max(n, 2), N) (see ``_rk4_scan``), rows 0..n-1 the basis
+    b_j from e_1, ..., e_n and row n the particular solution p from the zero state; the
+    coefficients c with which ``combine`` meets ``values`` at ``points``; and the boundary
+    matrix, checked (NonUniqueCrispSolution, or ValueError for a subnormal column)."""
     n = ode.order
-    columns = _propagate(ode, grid, np.eye(n + 1))
-    at_points = _at_points(grid, columns, points)
-    coefficients = np.linalg.solve(at_points[:, :n], values - at_points[:, n])
+    rows = _propagate(ode, grid, np.eye(n + 1))
+    at_points = _at_points(grid, rows, points)
+    return rows, np.linalg.solve(at_points[:, :n], values - at_points[:, n]), at_points[:, :n]
+
+
+def combine(rows: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """Add c_1 b_1 + ... + c_n b_n to the particular row p = rows[n] in place, summed
+    left to right (within (n+1) eps (|p| + sum |c_j b_j|) of the exact sum), and return
+    ``rows``.  Raises ValueError if the crisp row is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(n):
-            columns[n] += coefficients[j] * columns[j]
-    if not np.isfinite(columns[n]).all():
+        for c, row in zip(coefficients, rows):  # n pairs: stops before p = rows[-1]
+            rows[-1] += c * row
+    if not np.isfinite(rows[-1]).all():
         raise ValueError("trajectory contains non-finite entries")
-    return columns, at_points[:, :n]
+    return rows
 
 
 def solve_crisp_bvp(ode: LinearODE, boundary, grid: TimeGrid) -> Trajectory:
@@ -624,5 +617,5 @@ def solve_crisp_bvp(ode: LinearODE, boundary, grid: TimeGrid) -> Trajectory:
     the basis combination that matches the boundary values.
     """
     points, values = _validate_boundary(ode.order, boundary)
-    crisp = _basis_and_crisp(ode, grid, points, np.array(values, dtype=float))[0][-1]
+    crisp = combine(*_scan(ode, grid, points, np.array(values, dtype=float))[:2])[-1]
     return Trajectory(grid, crisp[:ode.order].T, crisp[1])

@@ -5,8 +5,8 @@
 1. splits every fuzzy boundary value into its vertex plus a vertex-at-zero
    uncertain part,
 2. runs one RK4 scan that writes the homogeneous basis and a particular
-   solution as rows of one array, whose particular row the vertex values
-   correct in place into the crisp solution,
+   solution as rows of one array, whose particular row ``combine`` corrects
+   in place into the crisp solution that meets the vertex values,
 3. overwrites the basis with the weight functions at the boundary points,
 4. keeps the parts in a ``FuzzySolution``; bands are evaluated on demand.
 
@@ -28,10 +28,10 @@ import numpy as np
 
 from . import fuzzy
 from .fuzzy import FuzzyNumber, Interval, _check_alpha
-from .ode import (LinearODE, TimeGrid, Trajectory, WeightBasis, _basis_and_crisp, _hermite,
-                  _validate_boundary, weight_functions)
+from .ode import (LinearODE, TimeGrid, Trajectory, WeightBasis, _hermite, _scan,
+                  _validate_boundary, combine, weight_functions)
 # Unused here; bound for the benchmark tracer until ROADMAP item 1 re-points it.
-from .ode import combine, homogeneous_basis, integrate_ivp  # noqa: F401
+from .ode import homogeneous_basis, integrate_ivp  # noqa: F401
 
 # Nodes per block of a band, and rows per block of its CSV: the Hermite
 # temporaries, the block's cuts and its text stay small.
@@ -214,7 +214,7 @@ def solve_fuzzy_bvp(problem: FuzzyBVP) -> FuzzySolution:
     pairs = [fuzzy.split_crisp(u) for _, u in problem.conditions]
     crisp_values = tuple(float(v) for v, _ in pairs)
     points = problem.boundary_points
-    rows, matrix = _basis_and_crisp(problem.ode, problem.grid, points, np.array(crisp_values))
-    columns = np.ascontiguousarray(rows[:, :2])  # values and slopes; a copy only for n > 2
+    rows, coefficients, matrix = _scan(problem.ode, problem.grid, points, np.array(crisp_values))
+    columns = combine(np.ascontiguousarray(rows[:, :2]), coefficients)  # x, x' (a copy if n > 2)
     weight_functions(problem.grid, columns[:-1], points, matrix)  # in place, over the basis rows
     return FuzzySolution(problem.grid, points, columns, tuple(u for _, u in pairs), crisp_values)

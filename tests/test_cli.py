@@ -1273,3 +1273,27 @@ def test_values_near_the_float_max_exit_1_with_one_line(tmp_path, capsys, value)
         warnings.simplefilter("error")
         assert run_cli(["solve", str(path)]) == 1
     assert capsys.readouterr().err == "error: trajectory contains non-finite entries\n"
+
+
+@pytest.mark.parametrize("value, kind", [
+    ({"type": "parametric", "alphas": [0, 1], "lower": [-1.7e308, 1.7e308],
+      "upper": [1.7e308, 1.7e308]}, "ParametricFuzzyNumber"),
+    ({"type": "triangular", "l": -1.7e308, "m": 1.7e308, "r": 1.7e308}, "TriangularFuzzyNumber"),
+], ids=["parametric", "triangular"])
+def test_value_whose_vertex_split_overflows_exits_1_with_one_line(tmp_path, value, kind):
+    # every number is finite, but the branches span more than the float max:
+    # the parametric order checks warned twice of an overflow, and the
+    # triangle's split was refused as a number that is not finite
+    doc = example_problem_document(1)
+    doc["conditions"][0]["value"] = value
+    path, out = tmp_path / "wide.json", tmp_path / "band.csv"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    src = str(Path(fuzzybvp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    run = subprocess.run([sys.executable, "-m", "fuzzybvp.cli", "solve", str(path),
+                          "--out", str(out)], env=env, stdin=subprocess.DEVNULL,
+                         capture_output=True, timeout=120)
+    assert run.returncode == 1
+    assert run.stderr.decode() == (f"error: vertex split u - 1.7e+308 of a {kind} leaves the "
+                                   f"float range\n")
+    assert not out.exists()

@@ -1,3 +1,5 @@
+import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -413,9 +415,9 @@ reals = st.floats(min_value=-8e307, max_value=8e307)
 
 
 @st.composite
-def triangles_and_points(draw):
+def triangles_and_points(draw, reals=reals):
     """(left, peak, right, x): either side may be degenerate; x is a corner, a
-    neighbour of one, a point of the support, any float or nan."""
+    neighbour of one, a point of the support, any of ``reals`` or nan."""
     left, peak, right = sorted(draw(st.tuples(reals, reals, reals)))
     left = draw(st.sampled_from([left, peak]))
     right = draw(st.sampled_from([right, peak]))
@@ -423,8 +425,8 @@ def triangles_and_points(draw):
     x = draw(st.one_of(
         st.sampled_from(corners + [float("nan")]),
         st.sampled_from(corners).flatmap(
-            lambda c: st.sampled_from([float(np.nextafter(c, -np.inf)),
-                                       float(np.nextafter(c, np.inf))])),
+            lambda c: st.sampled_from([math.nextafter(c, -math.inf),
+                                       math.nextafter(c, math.inf)])),
         st.floats(0.0, 1.0).map(lambda s: left + s * (right - left)),
         reals))
     return left, peak, right, x
@@ -442,6 +444,34 @@ def test_triangular_membership_is_its_closed_form_bit_for_bit(drawn):
     else:
         expected = (right - x) / (right - peak)
     assert TriangularFuzzyNumber(left, peak, right).membership(x).hex() == expected.hex()
+
+
+# every finite float, with a share of either sign past half the float max
+MAX = sys.float_info.max
+whole = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                  st.floats(MAX / 2, MAX), st.floats(-MAX, -MAX / 2))
+
+
+@given(triangles_and_points(whole), st.floats(0.0, 1.0))
+def test_triangular_membership_over_the_whole_float_range(drawn, s):
+    # a side wider than the float max is read on halved values, exact at that
+    # size: the closed form on them, bit for bit, and within the 1.5 eps of its
+    # three roundings of the exact ratio (plus the smallest subnormal)
+    left, peak, right, x = drawn
+    u = TriangularFuzzyNumber(left, peak, right)
+    for x in (x, 2 * (left / 2 + s * (right / 2 - left / 2))):
+        got = u.membership(x)
+        if not left <= x <= right or x == peak:
+            assert got == (x == peak)
+            continue
+        ends = (x, left, peak) if x < peak else (-x, -right, -peak)
+        h = 0.5 if math.isinf(ends[2] - ends[1]) else 1.0
+        a, b, c = (h * e for e in ends)
+        assert got.hex() == (0.0 + (a - b) / (c - b)).hex()  # alpha 0 plus the ratio
+        a, b, c = map(Fraction, ends)
+        exact = (a - b) / (c - b)
+        eps = Fraction(np.finfo(float).eps)
+        assert abs(Fraction(got) - exact) <= Fraction(3, 2) * eps * exact + Fraction(2.0 ** -1074)
 
 
 @given(triangulars())

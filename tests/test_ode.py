@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 import reference
 from fuzzybvp import ode as ode_module
+from fuzzybvp import solver as solver_module
 from fuzzybvp.expressions import ZERO, EvaluationError, parse
 from fuzzybvp.fuzzy import TriangularFuzzyNumber
 from fuzzybvp.ode import (
@@ -469,7 +470,9 @@ class TestFusedScan:
         rows = _propagate(ode, grid, np.eye(order + 1))  # before the correction
         at_points = ode_module._hermite(grid, rows[:, 0].T, rows[:, 1].T, points)
         coefficients = np.linalg.solve(at_points[:, :order], values - at_points[:, order]).tolist()
-        crisp = ode_module._basis_and_crisp(ode, grid, points, values)[0][order]
+        scanned, solved, _ = ode_module._scan(ode, grid, points, values)
+        assert solved.tolist() == coefficients
+        crisp = ode_module.combine(scanned, solved)[order]
         eps = Fraction(np.finfo(float).eps)
         for row in range(rows.shape[1]):
             for node in np.linspace(0, grid.num_points - 1, 11).astype(int).tolist():
@@ -503,6 +506,26 @@ class TestFusedScan:
         assert len(calls) == 1
         solve_crisp_bvp(EX1_ODE, [(0.0, 2.0), (1.0, 3.0)], grid)
         assert len(calls) == 2
+
+    def test_one_combination_per_solve(self, monkeypatch):
+        # the crisp correction is one call of ``combine``, looked up by the
+        # solving module's own name: the fuzzy solve's under ``solver``
+        calls = []
+        combine = ode_module.combine
+
+        def counting(rows, coefficients):
+            calls.append(rows.shape)
+            return combine(rows, coefficients)
+
+        monkeypatch.setattr(solver_module, "combine", counting)
+        monkeypatch.setattr(ode_module, "combine", counting)
+        grid = TimeGrid(0.0, 1.0, 101)
+        conds = tuple((t, TriangularFuzzyNumber(v - 0.5, v, v + 0.5))
+                      for t, v in zip((0.0, 0.5, 1.0), (1.0, 2.0, 3.0)))
+        solve_fuzzy_bvp(FuzzyBVP(ORDER3_ODE, conds, grid))
+        assert calls == [(4, 2, 101)]  # only the values and slopes are corrected
+        solve_crisp_bvp(ORDER3_ODE, [(t, u.peak) for t, u in conds], grid)
+        assert calls == [(4, 2, 101), (4, 3, 101)]  # every state row
 
     @pytest.mark.parametrize("num_points", CARRY_POINTS)
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])

@@ -73,6 +73,9 @@ def test_traced_solve_records_layers_and_uninstall_restores_every_name(tracing, 
     solve = next(s for s in tracer.spans if s.name == "solver.solve")
     weights = next(s for s in tracer.spans if s.name == "ode.weight_functions")
     assert weights.parent == solve.id
+    # the crisp correction is its own span, once in each of the two solves
+    solves = [s.id for s in tracer.spans if s.name == "solver.solve"]
+    assert [s.parent for s in tracer.spans if s.name == "ode.combine"] == solves
     # one scan per solve, of the two solves: two coefficients and the
     # forcing, each evaluated once as an array on the half-step lattice
     assert calls["expressions.evaluate"] == 2 * 3
